@@ -12,6 +12,11 @@ sweep: S belongs to (Y => Z) exactly when no subteam of S lies in Y\\Z,
 i.e. when S is outside the up-closure of Y\\Z.  The co-implication is the
 dual residual: the least down-set Z with X included in Y union Z, which
 is the downward closure of X\\Y.
+
+Denotations of formulas are computed by the package's one compiler
+(see denote); denote_flat and denote_general are thin wrappers over it.
+Nothing here builds tables ahead of use: enumeration of down-sets is
+cached per context, and everything else is computed on demand.
 """
 
 from __future__ import annotations
@@ -19,19 +24,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .contexts import Context
+from .denote import Polarity, denote
 from .errors import SizeCapError
-from .formulas import (
-    Cap,
-    Down,
-    FImp,
-    FVar,
-    FZero,
-    FlatFormula,
-    GAnd,
-    GImp,
-    GOr,
-    GeneralFormula,
-)
+from .formulas import FlatFormula, GeneralFormula
 
 ENUM_MAX_WORLDS = 4  # down-set enumeration needs 2^(2^worlds) candidates
 
@@ -129,39 +124,14 @@ class TeamAlgebra:
         return {v: self.ctx.var_team(v) for v in self.ctx.variables}
 
     def denote_flat(self, alpha: FlatFormula, assignment: dict[str, int]) -> int:
-        if isinstance(alpha, FVar):
-            if alpha.name not in assignment:
-                raise ValueError(f"unknown variable {alpha.name!r} in assignment")
-            return assignment[alpha.name]
-        if isinstance(alpha, FZero):
-            return 0
-        if isinstance(alpha, Cap):
-            return self.denote_flat(alpha.left, assignment) & self.denote_flat(
-                alpha.right, assignment
-            )
-        if isinstance(alpha, FImp):
-            a = self.denote_flat(alpha.left, assignment)
-            b = self.denote_flat(alpha.right, assignment)
-            return self.complement_team(a) | b
-        raise TypeError(f"not a Flat formula: {alpha!r}")
+        if not isinstance(alpha, FlatFormula):
+            raise TypeError(f"not a Flat formula: {alpha!r}")
+        return denote(self, alpha, Polarity.ANT, assignment)
 
     def denote_general(self, a: GeneralFormula, assignment: dict[str, int]) -> int:
-        if isinstance(a, Down):
-            return self.downset(self.denote_flat(a.body, assignment))
-        if isinstance(a, GAnd):
-            return self.denote_general(a.left, assignment) & self.denote_general(
-                a.right, assignment
-            )
-        if isinstance(a, GOr):
-            return self.denote_general(a.left, assignment) | self.denote_general(
-                a.right, assignment
-            )
-        if isinstance(a, GImp):
-            return self.heyting(
-                self.denote_general(a.left, assignment),
-                self.denote_general(a.right, assignment),
-            )
-        raise TypeError(f"not a General formula: {a!r}")
+        if not isinstance(a, GeneralFormula):
+            raise TypeError(f"not a General formula: {a!r}")
+        return denote(self, a, Polarity.ANT, assignment)
 
     def is_flat_algebraic(self, a: GeneralFormula, assignment: dict[str, int]) -> bool:
         """Lemma-style fixed point: the denotation equals downset(f(.)) of itself."""

@@ -15,40 +15,31 @@ holds under an assignment of teams to its variables when the antecedent
 denotation is included in the succedent denotation, and a rule instance
 is audited by quantifying assignments (exhaustively when the space is
 small, sampled otherwise) and demanding that premise inclusions imply
-the conclusion inclusion.
+the conclusion inclusion.  A node that checks no assignment fails the
+audit as unchecked.
+
+Every denotation comes from the one compiler in the denote module: the
+premises and conclusion of a node become one straight-line program,
+compiled once and run once per assignment; schema soundness compiles the
+pattern sequents of a schema the same way, with its metavariables as
+the inputs.  denote_structure and sequent_holds are thin wrappers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 from . import metavars as mv
 from .algebra import TeamAlgebra, for_context
 from .contexts import Context
-from .errors import InqmtError
-from .formulas import (
-    Cap,
-    Down,
-    FImp,
-    FVar,
-    FZero,
-    FlatFormula,
-    GAnd,
-    GImp,
-    GOr,
-    GeneralFormula,
-)
-from .rules import FAMILIES, RuleSchema, pattern_metas, rule_table
+from .denote import Compiler, Machine, Polarity, bind, denote
+from .formulas import Down, FVar, FZero, FlatFormula, GeneralFormula
+from .rules import FAMILIES, RuleSchema, pseq, rule_table
 from .structures import (
-    Comma,
     Derivation,
-    DownOf,
-    FOf,
-    FStarOf,
     FlatFml,
     FlatStructure,
     GenFml,
@@ -56,7 +47,6 @@ from .structures import (
     Gt,
     Path,
     Phi,
-    Semi,
     Sequent,
     Sort,
     Sup,
@@ -64,16 +54,10 @@ from .structures import (
     iter_paths,
     operational_terms,
     replace_at,
-    sequent_variables,
     side_structure,
     structure_at,
     term_is_covered,
 )
-
-
-class Polarity(Enum):
-    ANT = "antecedent-part"
-    SUC = "succedent-part"
 
 
 def polarity_of(seq: Sequent, path: Path) -> Polarity:
@@ -316,68 +300,27 @@ def check_derivation(d: Derivation) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Structure denotation
+# Structure denotation: thin wrappers over the compiler (see denote)
 
 
-def denote_structure(
-    s, pol: Polarity, alg: TeamAlgebra, assignment: dict[str, int], leaf: Callable = None
-):
-    """Interpret a structure at a polarity.
-
-    Phi reads as the unit of its position (all worlds in antecedent
-    position, no worlds in succedent position); comma and semicolon as
-    meet/join by position; the Flat arrow as Boolean difference in
-    antecedent position and material implication in succedent position;
-    the General arrow as co-implication and relative pseudo-complement;
-    F, F*, Dn as the three maps, F* having no succedent reading."""
-
-    def default_leaf(node, p):
-        if isinstance(node, FlatFml):
-            return alg.denote_flat(node.formula, assignment)
-        if isinstance(node, GenFml):
-            return alg.denote_general(node.formula, assignment)
-        raise TypeError(f"cannot denote {node!r}")
-
-    leaf = leaf or default_leaf
-
-    def run(node, p: Polarity):
-        if isinstance(node, Phi):
-            return alg.full_team if p is Polarity.ANT else 0
-        if isinstance(node, Comma):
-            l, r = run(node.left, p), run(node.right, p)
-            return l & r if p is Polarity.ANT else l | r
-        if isinstance(node, Sup):
-            if p is Polarity.ANT:
-                return alg.complement_team(run(node.left, Polarity.SUC)) & run(
-                    node.right, Polarity.ANT
-                )
-            return alg.complement_team(run(node.left, Polarity.ANT)) | run(
-                node.right, Polarity.SUC
-            )
-        if isinstance(node, FOf):
-            return alg.f(run(node.body, p))
-        if isinstance(node, DownOf):
-            return alg.downset(run(node.body, p))
-        if isinstance(node, FStarOf):
-            if p is Polarity.SUC:
-                raise InqmtError("Fs has no succedent-part reading")
-            return alg.f_star(run(node.body, Polarity.ANT))
-        if isinstance(node, Semi):
-            l, r = run(node.left, p), run(node.right, p)
-            return l & r if p is Polarity.ANT else l | r
-        if isinstance(node, Gt):
-            if p is Polarity.SUC:
-                return alg.heyting(run(node.left, Polarity.ANT), run(node.right, Polarity.SUC))
-            return alg.coimp(run(node.right, Polarity.ANT), run(node.left, Polarity.SUC))
-        return leaf(node, p)
-
-    return run(s, pol)
+def denote_structure(s, pol: Polarity, alg: TeamAlgebra, assignment: dict) -> int:
+    """Interpret a structure at a polarity; the assignment maps variable
+    names, or metavariables of a pattern, to their values."""
+    return denote(alg, s, pol, assignment)
 
 
-def sequent_holds(seq: Sequent, alg: TeamAlgebra, assignment: dict[str, int], leaf=None) -> bool:
-    a = denote_structure(seq.antecedent, Polarity.ANT, alg, assignment, leaf)
-    s = denote_structure(seq.succedent, Polarity.SUC, alg, assignment, leaf)
-    return a & ~s == 0
+def sequent_holds(seq: Sequent, alg: TeamAlgebra, assignment: dict) -> bool:
+    """Antecedent denotation included in succedent denotation."""
+    prog = Compiler(alg.full_team).add_sequent(seq).program()
+    return not Machine(alg).fails(prog, bind(prog, assignment))
+
+
+def _compile_instance(top: int, premises, conclusion) -> Compiler:
+    """One program for a rule instance: its premises, then its conclusion."""
+    compiler = Compiler(top)
+    for p in premises:
+        compiler.add_sequent(p)
+    return compiler.add_sequent(conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +340,11 @@ class AuditReport:
     nodes_checked: int = 0
     assignments_checked: int = 0
     sampled_nodes: int = 0
+    unchecked_nodes: int = 0  # nodes under which no assignment was checked
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.unchecked_nodes
 
 
 def audit_soundness(
@@ -413,18 +357,20 @@ def audit_soundness(
     """Check every rule instance of d over assignments of teams to its
     variables: whenever all premise inclusions hold, the conclusion
     inclusion must hold.  Exhaustive when the assignment space fits under
-    max_exhaustive, otherwise sampled."""
+    max_exhaustive, otherwise sampled.  A node that checks no assignment
+    (samples=0) counts as unchecked and fails the report."""
     alg = for_context(ctx)
+    fails = Machine(alg).fails
     rng = random.Random(seed)
     report = AuditReport()
     teams = range(ctx.n_teams)
     for addr, node in d.nodes():
-        name_set = set(sequent_variables(node.conclusion))
-        for p in node.premises:
-            name_set |= sequent_variables(p.conclusion)
-        names = sorted(name_set)
-        space = ctx.n_teams ** len(names)
-        if space <= max_exhaustive:
+        compiler = _compile_instance(
+            alg.full_team, [p.conclusion for p in node.premises], node.conclusion
+        )
+        names = sorted(compiler.leaf_keys)
+        prog = compiler.program(names)
+        if ctx.n_teams ** len(names) <= max_exhaustive:
             assignments = product(teams, repeat=len(names))
         else:
             report.sampled_nodes += 1
@@ -432,13 +378,15 @@ def audit_soundness(
                 tuple(rng.randrange(ctx.n_teams) for _ in names) for _ in range(samples)
             )
         report.nodes_checked += 1
+        checked = 0
         for values in assignments:
-            report.assignments_checked += 1
-            assignment = dict(zip(names, values))
-            if all(sequent_holds(p.conclusion, alg, assignment) for p in node.premises):
-                if not sequent_holds(node.conclusion, alg, assignment):
-                    report.violations.append(AuditViolation(addr, node.rule, assignment))
-                    break
+            checked += 1
+            if fails(prog, values):
+                report.violations.append(AuditViolation(addr, node.rule, dict(zip(names, values))))
+                break
+        report.assignments_checked += checked
+        if not checked:
+            report.unchecked_nodes += 1
     return report
 
 
@@ -448,33 +396,12 @@ def audit_soundness(
 
 def _meta_polarities(schema: RuleSchema) -> dict:
     """Polarity set of every metavariable occurrence across the schema."""
-    out: dict = {}
-
-    def scan(seq: Sequent):
-        for path, sub in iter_paths(seq):
-            nodes = [sub]
-            if isinstance(sub, (FlatFml, GenFml)):
-                stack = [sub.formula]
-                while stack:
-                    f = stack.pop()
-                    if mv.is_meta(f):
-                        nodes.append(f)
-                    elif isinstance(f, Down):
-                        stack.append(f.body)
-                    elif hasattr(f, "left"):
-                        stack.extend((f.left, f.right))
-            for n in nodes:
-                if mv.is_meta(n):
-                    out.setdefault(n, set()).add(polarity_of(seq, path))
-
-    for p in schema.premises:
-        scan(p)
-    scan(schema.conclusion)
-    return out
+    return _compile_instance(0, schema.premises, schema.conclusion).polarities
 
 
-def _meta_domains(schema: RuleSchema, alg: TeamAlgebra, downsets) -> list[tuple]:
-    """(metavariable, value domain) pairs for the soundness quantifier.
+def _meta_domains(pols: dict, alg: TeamAlgebra, downsets) -> list[tuple]:
+    """(metavariable, value domain) pairs for the soundness quantifier,
+    from the polarities of the metavariables' occurrences.
 
     General metavariables with a succedent-part occurrence, and General
     formula metavariables everywhere, range over down-sets containing the
@@ -482,7 +409,6 @@ def _meta_domains(schema: RuleSchema, alg: TeamAlgebra, downsets) -> list[tuple]
     empty collection, and the inverse Phi rules are only sound on that
     reachable fragment.
     """
-    pols = _meta_polarities(schema)
     nonempty = tuple(x for x in downsets if x & 1)
     domains = []
     teams = tuple(alg.all_teams())
@@ -497,56 +423,6 @@ def _meta_domains(schema: RuleSchema, alg: TeamAlgebra, downsets) -> list[tuple]
             else:
                 domains.append((meta, downsets))
     return domains
-
-
-def _pattern_leaf(valuation, alg):
-    def leaf(node, pol):
-        if mv.is_meta(node):
-            return valuation[node]
-        if isinstance(node, FlatFml):
-            return _denote_formula_pattern(node.formula, valuation, alg)
-        if isinstance(node, GenFml):
-            return _denote_formula_pattern(node.formula, valuation, alg)
-        raise TypeError(f"cannot denote pattern leaf {node!r}")
-
-    return leaf
-
-
-def _denote_formula_pattern(f, valuation, alg):
-    if mv.is_meta(f):
-        return valuation[f]
-    if isinstance(f, FZero):
-        return 0
-    if isinstance(f, FVar):
-        raise TypeError("patterns carry no concrete variables")
-    if isinstance(f, Cap):
-        return _denote_formula_pattern(f.left, valuation, alg) & _denote_formula_pattern(
-            f.right, valuation, alg
-        )
-    if isinstance(f, FImp):
-        a = _denote_formula_pattern(f.left, valuation, alg)
-        b = _denote_formula_pattern(f.right, valuation, alg)
-        return alg.complement_team(a) | b
-    if isinstance(f, Down):
-        return alg.downset(_denote_formula_pattern(f.body, valuation, alg))
-    if isinstance(f, GAnd):
-        return _denote_formula_pattern(f.left, valuation, alg) & _denote_formula_pattern(
-            f.right, valuation, alg
-        )
-    if isinstance(f, GOr):
-        return _denote_formula_pattern(f.left, valuation, alg) | _denote_formula_pattern(
-            f.right, valuation, alg
-        )
-    if isinstance(f, GImp):
-        return alg.heyting(
-            _denote_formula_pattern(f.left, valuation, alg),
-            _denote_formula_pattern(f.right, valuation, alg),
-        )
-    raise TypeError(f"cannot denote formula pattern {f!r}")
-
-
-def _pattern_sequent_holds(seq: Sequent, alg, valuation) -> bool:
-    return sequent_holds(seq, alg, {}, leaf=_pattern_leaf(valuation, alg))
 
 
 # the consumer contexts against which the surgical cut is audited: a
@@ -568,47 +444,46 @@ def schema_soundness_counterexample(schema: RuleSchema, ctx: Context):
     instantiation; None when the schema is sound on the context."""
     alg = for_context(ctx)
     downsets = alg.all_downsets()
+    fails = Machine(alg).fails
     if schema.surgical:
-        return _surgical_counterexample(alg, downsets)
-    directions = [(schema.premises, schema.conclusion)]
+        return _surgical_counterexample(alg, fails, downsets)
+    forward = _compile_instance(alg.full_team, schema.premises, schema.conclusion)
+    directions = [forward]
     if schema.bidirectional:
-        directions.append(((schema.conclusion,), schema.premises[0]))
-    domains = _meta_domains(schema, alg, downsets)
+        directions.append(
+            _compile_instance(alg.full_team, (schema.conclusion,), schema.premises[0])
+        )
+    domains = _meta_domains(forward.polarities, alg, downsets)
     metas = [m for m, _ in domains]
-    for prems, concl in directions:
+    for compiler in directions:
+        prog = compiler.program(metas)
         for values in product(*(dom for _, dom in domains)):
-            valuation = dict(zip(metas, values))
-            if all(_pattern_sequent_holds(p, alg, valuation) for p in prems):
-                if not _pattern_sequent_holds(concl, alg, valuation):
-                    return {m.name: v for m, v in valuation.items()}
+            if fails(prog, values):
+                return {m.name: v for m, v in zip(metas, values)}
     return None
 
 
-def _surgical_counterexample(alg: TeamAlgebra, downsets):
-    from .rules import pseq
-
+def _surgical_counterexample(alg: TeamAlgebra, fails, downsets):
     hole = mv.FMetaF("a")
-    provider_gamma = mv.SMetaF("G")
+    teams = tuple(alg.all_teams())
     for text in _CUT_CONTEXTS:
-        consumer = pseq(text)
-        others = [m for m in pattern_metas(consumer) if m != hole]
-        domains = []
-        for m in others:
-            if isinstance(m, (mv.SMetaF, mv.FMetaF, mv.PMeta)):
-                domains.append(tuple(alg.all_teams()))
-            else:
-                domains.append(downsets)
-        for gamma_val in alg.all_teams():
-            for alpha_val in alg.all_teams():
+        compiler = Compiler(alg.full_team).add_sequent(pseq(text))
+        others = [m for m in compiler.leaf_keys if m != hole]
+        prog = compiler.program([hole, *others])
+        domains = [
+            teams if isinstance(m, (mv.SMetaF, mv.FMetaF, mv.PMeta)) else downsets
+            for m in others
+        ]
+        for gamma_val in teams:
+            for alpha_val in teams:
                 if gamma_val & ~alpha_val:
                     continue  # provider premise fails
-                for values in product(*domains) if domains else [()]:
-                    valuation = dict(zip(others, values))
-                    valuation[hole] = alpha_val
-                    if not _pattern_sequent_holds(consumer, alg, valuation):
-                        continue
-                    valuation[hole] = gamma_val
-                    if not _pattern_sequent_holds(consumer, alg, valuation):
+                for values in product(*domains):
+                    # the consumer holds with the cut formula in the hole
+                    # and fails with the provider's antecedent there
+                    if not fails(prog, (alpha_val, *values)) and fails(
+                        prog, (gamma_val, *values)
+                    ):
                         return {
                             "context": text,
                             "gamma": gamma_val,

@@ -9,8 +9,10 @@
     inqmt reduce --script proof.sexp --fuel 10      principal-cut reduction
     inqmt selftest --level fast|full                built-in suites
 
-Exit codes: 0 success/true, 1 false or check failed, 2 usage error,
-3 size cap exceeded.  --json switches reports to machine-readable form.
+Exit codes: 0 success/true, 1 false or check failed (an audit also
+fails when a node checked no assignment), 2 usage error, 3 size cap
+exceeded (including input nested too deeply to read).  --json switches
+reports to machine-readable form.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.samples < 0:
+        raise _UsageError(f"--samples must be at least 0, got {args.samples}")
     ctx = _context(args)
     d = _load_script(args)
     report = audit_soundness(d, ctx, samples=args.samples)
@@ -129,6 +133,7 @@ def cmd_audit(args) -> int:
         "nodes_checked": report.nodes_checked,
         "assignments_checked": report.assignments_checked,
         "sampled_nodes": report.sampled_nodes,
+        "unchecked_nodes": report.unchecked_nodes,
         "violations": [
             {"addr": list(v.addr), "rule": v.rule,
              "assignment": {k: ctx.team_to_spec(t) for k, t in v.assignment.items()}}
@@ -139,10 +144,16 @@ def cmd_audit(args) -> int:
         f"nodes: {report.nodes_checked}, assignments: {report.assignments_checked}"
         + (f" ({report.sampled_nodes} nodes sampled)" if report.sampled_nodes else "")
     ]
+    if report.unchecked_nodes:
+        lines.append(f"unchecked: {report.unchecked_nodes} nodes checked no assignment")
     for v in report.violations:
         witness = ", ".join(f"{k}={ctx.team_to_spec(t)}" for k, t in v.assignment.items())
         lines.append(f"violation at {'.'.join(map(str, v.addr)) or 'root'} ({v.rule}): {witness}")
-    lines.append(f"result: {'sound' if report.ok else 'VIOLATIONS'}")
+    if report.ok:
+        verdict = "sound"
+    else:
+        verdict = "VIOLATIONS" if report.violations else "UNCHECKED"
+    lines.append(f"result: {verdict}")
     _emit(args, payload, "\n".join(lines))
     return 0 if report.ok else 1
 
@@ -176,8 +187,15 @@ def cmd_reduce(args) -> int:
 
 def cmd_selftest(args) -> int:
     results = selftest.run(args.level)
-    payload = {"suites": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]}
-    lines = [f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}" for r in results]
+    payload = {
+        "suites": [
+            {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": round(r.seconds, 3)}
+            for r in results
+        ]
+    }
+    lines = [
+        f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail} ({r.seconds:.2f} s)" for r in results
+    ]
     ok = all(r.ok for r in results)
     lines.append(f"result: {'all suites pass' if ok else 'FAILURES'}")
     _emit(args, payload, "\n".join(lines))
@@ -256,6 +274,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except SizeCapError as e:
         print(f"size cap exceeded: {e}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # the parser and the tree walks recurse once per level of nesting
+        print(
+            "size cap exceeded: input nests deeper than the recursion limit "
+            f"({sys.getrecursionlimit()} frames) allows",
+            file=sys.stderr,
+        )
         return 3
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import metavars as mv
+from .denote import Compiler
 from .parser import parse_sequent
-from .structures import Sequent, children
+from .structures import Sequent
 
 
 @dataclass(frozen=True)
@@ -157,35 +157,8 @@ def lookup(name: str) -> tuple[RuleSchema, ...]:
 
 
 def pattern_metas(seq: Sequent) -> set:
-    out = set()
-
-    def walk_structure(s):
-        if mv.is_meta(s):
-            out.add(s)
-            return
-        from .structures import FlatFml, GenFml
-
-        if isinstance(s, (FlatFml, GenFml)):
-            walk_formula(s.formula)
-            return
-        for kid in children(s):
-            walk_structure(kid)
-
-    def walk_formula(f):
-        if mv.is_meta(f):
-            out.add(f)
-            return
-        from .formulas import Down
-
-        if isinstance(f, Down):
-            walk_formula(f.body)
-        elif hasattr(f, "left"):
-            walk_formula(f.left)
-            walk_formula(f.right)
-
-    walk_structure(seq.antecedent)
-    walk_structure(seq.succedent)
-    return out
+    """The metavariables of a pattern sequent."""
+    return set(Compiler(0).add_sequent(seq).leaf_keys)
 
 
 def _validate_table():

@@ -1,11 +1,16 @@
-"""Bounded random generators shared across the test modules."""
+"""Bounded random generators shared across the test modules, and a
+recursive reference evaluator for denotations."""
 
+from inqmt import metavars as mv
+from inqmt.calculus import Polarity
+from inqmt.errors import InqmtError
 from inqmt.formulas import (
     Cap,
     Down,
     FImp,
     FVar,
     FZERO,
+    FZero,
     GAnd,
     GImp,
     GOr,
@@ -24,6 +29,7 @@ from inqmt.structures import (
     GenFml,
     Gt,
     PHI,
+    Phi,
     Semi,
     Sup,
 )
@@ -80,3 +86,79 @@ def rand_general_structure(rng, depth):
     if k == 3:
         return FStarOf(rand_flat_structure(rng, depth - 1))
     return GenFml(rand_general(rng, 2))
+
+
+# ---------------------------------------------------------------------------
+# Reference denotations: a direct recursive transcription of the reading
+# of formulas and structures, one clause per connective.  The environment
+# maps variable names, and metavariables of patterns, to values.
+
+
+def ref_formula(f, alg, env):
+    if mv.is_meta(f):
+        return env[f]
+    if isinstance(f, FVar):
+        if f.name not in env:
+            raise ValueError(f"unknown variable {f.name!r} in assignment")
+        return env[f.name]
+    if isinstance(f, FZero):
+        return 0
+    if isinstance(f, Cap):
+        return ref_formula(f.left, alg, env) & ref_formula(f.right, alg, env)
+    if isinstance(f, FImp):
+        a = ref_formula(f.left, alg, env)
+        b = ref_formula(f.right, alg, env)
+        return alg.complement_team(a) | b
+    if isinstance(f, Down):
+        return alg.downset(ref_formula(f.body, alg, env))
+    if isinstance(f, GAnd):
+        return ref_formula(f.left, alg, env) & ref_formula(f.right, alg, env)
+    if isinstance(f, GOr):
+        return ref_formula(f.left, alg, env) | ref_formula(f.right, alg, env)
+    if isinstance(f, GImp):
+        return alg.heyting(ref_formula(f.left, alg, env), ref_formula(f.right, alg, env))
+    raise TypeError(f"cannot denote formula {f!r}")
+
+
+def ref_structure(s, pol, alg, env):
+    ANT, SUC = Polarity.ANT, Polarity.SUC
+    if mv.is_meta(s):
+        return env[s]
+    if isinstance(s, Phi):
+        return alg.full_team if pol is ANT else 0
+    if isinstance(s, (Comma, Semi)):
+        l, r = ref_structure(s.left, pol, alg, env), ref_structure(s.right, pol, alg, env)
+        return l & r if pol is ANT else l | r
+    if isinstance(s, Sup):
+        if pol is ANT:
+            return alg.complement_team(ref_structure(s.left, SUC, alg, env)) & ref_structure(
+                s.right, ANT, alg, env
+            )
+        return alg.complement_team(ref_structure(s.left, ANT, alg, env)) | ref_structure(
+            s.right, SUC, alg, env
+        )
+    if isinstance(s, FOf):
+        return alg.f(ref_structure(s.body, pol, alg, env))
+    if isinstance(s, DownOf):
+        return alg.downset(ref_structure(s.body, pol, alg, env))
+    if isinstance(s, FStarOf):
+        if pol is SUC:
+            raise InqmtError("Fs has no succedent-part reading")
+        return alg.f_star(ref_structure(s.body, ANT, alg, env))
+    if isinstance(s, Gt):
+        if pol is SUC:
+            return alg.heyting(
+                ref_structure(s.left, ANT, alg, env), ref_structure(s.right, SUC, alg, env)
+            )
+        return alg.coimp(
+            ref_structure(s.right, ANT, alg, env), ref_structure(s.left, SUC, alg, env)
+        )
+    if isinstance(s, (FlatFml, GenFml)):
+        return ref_formula(s.formula, alg, env)
+    raise TypeError(f"cannot denote {s!r}")
+
+
+def ref_sequent_holds(seq, alg, env):
+    a = ref_structure(seq.antecedent, Polarity.ANT, alg, env)
+    s = ref_structure(seq.succedent, Polarity.SUC, alg, env)
+    return a & ~s == 0

@@ -171,6 +171,16 @@ def test_audit_sampling_path():
     assert 0 < report.sampled_nodes < report.nodes_checked
 
 
+def test_audit_without_samples_fails_as_unchecked():
+    d = completeness_dne(FVar("p"))
+    report = audit_soundness(d, P1, samples=0, max_exhaustive=1)
+    assert not report.violations and report.assignments_checked > 0
+    # nodes without variables stay exhaustive; every other node checked nothing
+    assert report.unchecked_nodes == report.sampled_nodes > 0
+    assert not report.ok
+    assert audit_soundness(d, P1).unchecked_nodes == 0
+
+
 def test_rule_table_sound_at_one_variable():
     assert check_rule_table_soundness(P1) == []
 

@@ -73,6 +73,7 @@ def test_selftest_fast(capsys):
     assert code == 0
     assert "result: all suites pass" in out
     assert "corpus replay" in out
+    assert all(line.endswith(" s)") for line in out.splitlines() if line.startswith("PASS"))
 
 
 def test_usage_errors(capsys):
@@ -95,6 +96,36 @@ def test_size_cap_exit_code(capsys):
     assert code == 3 and "size cap" in err
 
 
+def test_deep_nesting_is_a_size_cap_not_a_traceback(capsys):
+    code, out, err = run(capsys, "valid", "-V", "p", "(" * 200 + "p" + ")" * 200)
+    assert code == 3 and out == ""
+    assert err.startswith("size cap exceeded") and len(err.strip().splitlines()) == 1
+
+
+def _kp_script(tmp_path):
+    script = tmp_path / "kp.sexp"
+    script.write_text(corpus.text("appendix_kp"), encoding="utf-8")
+    return str(script)
+
+
+def test_audit_with_no_samples_is_unchecked(tmp_path, capsys):
+    argv = ("audit", "--samples", "0", "-V", "p,q,r", "--script", _kp_script(tmp_path))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "unchecked: 25 nodes" in out and "result: UNCHECKED" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 1 and not payload["ok"]
+    assert payload["unchecked_nodes"] == 25 and payload["sampled_nodes"] == 25
+
+
+def test_audit_rejects_negative_samples(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "audit", "--samples", "-1", "-V", "p", "--script", _kp_script(tmp_path)
+    )
+    assert code == 2 and "usage error" in err
+
+
 def test_json_outputs(capsys):
     code, out, _ = run(capsys, "valid", "-V", "p", "~~p -> p", "--json")
     assert code == 0 and json.loads(out)["valid"] is True
@@ -102,3 +133,7 @@ def test_json_outputs(capsys):
     assert code == 0
     suites = json.loads(out)["suites"]
     assert all(s["ok"] for s in suites)
+    assert all(s["seconds"] >= 0 for s in suites)
+    details = {s["name"]: s["detail"] for s in suites}
+    assert details["KP inclusion |V|=1"] == "144 distinct triples covering 216 principal triples"
+    assert details["corpus audit |V|=1"].startswith("7 scripts, 129 nodes, 2415 assignments")

@@ -1,0 +1,153 @@
+"""The compiled denotations against the recursive reference evaluator
+(helpers.ref_*), on the corpus, on seeded random terms and on the rule
+table's pattern sequents."""
+
+import random
+
+import pytest
+
+from inqmt import corpus, metavars as mv
+from inqmt.algebra import for_context
+from inqmt.calculus import Polarity, audit_soundness, denote_structure, sequent_holds
+from inqmt.contexts import Context
+from inqmt.denote import AND, DOWN, Compiler, Machine, denote
+from inqmt.errors import InqmtError
+from inqmt.formulas import Cap, FVar
+from inqmt.parser import parse_sequent, parse_structure
+from inqmt.rules import rule_table
+from inqmt.structures import Derivation
+
+from helpers import (
+    rand_flat,
+    rand_flat_structure,
+    rand_general,
+    rand_general_structure,
+    ref_formula,
+    ref_sequent_holds,
+    ref_structure,
+)
+
+ALGEBRAS = [for_context(Context.of("p")), for_context(Context.of("p,q"))]
+POLARITIES = (Polarity.ANT, Polarity.SUC)
+
+
+def _compile(top, sequents, leaf_order=None):
+    compiler = Compiler(top)
+    for seq in sequents:
+        compiler.add_sequent(seq)
+    return compiler.program(leaf_order)
+
+
+def _agree(alg, prog, sequents, env):
+    """Every sequent's two sides, and the instance verdict, match the reference."""
+    values = [env[k] for k in prog.leaves]
+    s = Machine(alg).slots(prog, values)
+    for seq, (a, c) in zip(sequents, prog.results):
+        assert s[a] == ref_structure(seq.antecedent, Polarity.ANT, alg, env), seq
+        assert s[c] == ref_structure(seq.succedent, Polarity.SUC, alg, env), seq
+    *premises, conclusion = sequents
+    expected = all(ref_sequent_holds(p, alg, env) for p in premises) and not ref_sequent_holds(
+        conclusion, alg, env
+    )
+    assert Machine(alg).fails(prog, values) == expected
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=["V1", "V2"])
+def test_corpus_nodes_match_reference(alg):
+    rng = random.Random(71)
+    nodes = 0
+    for name in corpus.names():
+        for _, node in corpus.load(name).nodes():
+            sequents = [p.conclusion for p in node.premises] + [node.conclusion]
+            prog = _compile(alg.full_team, sequents)
+            for _ in range(8):
+                env = {k: rng.randrange(alg.n_teams) for k in prog.leaves}
+                _agree(alg, prog, sequents, env)
+                assert sequent_holds(node.conclusion, alg, env) == ref_sequent_holds(
+                    node.conclusion, alg, env
+                )
+            nodes += 1
+    assert nodes > 100  # every node of every corpus script
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=["V1", "V2"])
+def test_random_formulas_match_reference(alg):
+    rng = random.Random(72)
+    for _ in range(300):
+        env = {v: rng.randrange(alg.n_teams) for v in ("p", "q", "r")}
+        alpha = rand_flat(rng, 4)
+        a = rand_general(rng, 4)
+        assert alg.denote_flat(alpha, env) == ref_formula(alpha, alg, env)
+        assert alg.denote_general(a, env) == ref_formula(a, alg, env)
+        for pol in POLARITIES:
+            assert denote(alg, alpha, pol, env) == ref_formula(alpha, alg, env)
+            assert denote(alg, a, pol, env) == ref_formula(a, alg, env)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=["V1", "V2"])
+def test_random_structures_match_reference(alg):
+    rng = random.Random(73)
+    raised = 0
+    for _ in range(300):
+        env = {v: rng.randrange(alg.n_teams) for v in ("p", "q", "r")}
+        for s in (rand_flat_structure(rng, 3), rand_general_structure(rng, 3)):
+            for pol in POLARITIES:
+                try:
+                    expected = ref_structure(s, pol, alg, env)
+                except InqmtError:
+                    raised += 1
+                    with pytest.raises(InqmtError):
+                        denote_structure(s, pol, alg, env)
+                    continue
+                assert denote_structure(s, pol, alg, env) == expected
+    assert raised  # Fs in succedent position occurs in the sample
+
+
+def test_rule_table_patterns_match_reference():
+    rng = random.Random(74)
+    for alg in ALGEBRAS:
+        downs = alg.all_downsets()
+        for schema in rule_table():
+            for seq in (*schema.premises, schema.conclusion):
+                prog = _compile(alg.full_team, [seq])
+                for _ in range(20):
+                    env = {
+                        m: rng.choice(downs)
+                        if isinstance(m, (mv.SMetaG, mv.FMetaG))
+                        else rng.randrange(alg.n_teams)
+                        for m in prog.leaves
+                    }
+                    _agree(alg, prog, [seq], env)
+
+
+def test_fs_in_succedent_raises():
+    alg = ALGEBRAS[0]
+    env = {"p": 1}
+    with pytest.raises(InqmtError):
+        denote_structure(parse_structure("Fs(p)"), Polarity.SUC, alg, env)
+    bad = parse_sequent("Dn(p) |- Fs(p)")
+    with pytest.raises(InqmtError):
+        sequent_holds(bad, alg, env)
+    with pytest.raises(InqmtError):
+        audit_soundness(Derivation(bad, "Id"), Context.of("p"))
+    # a root after a failing premise is never run, so it never raises
+    prog = _compile(alg.full_team, [parse_sequent("Ph |- 0"), bad])
+    assert not Machine(alg).fails(prog, [1])
+
+
+def test_shared_subterms_share_a_slot():
+    sequents = [parse_sequent("dn(p) |- dn(p) /\\ dn(q)"), parse_sequent("dn(q) ; dn(p) |- dn(p)")]
+    prog = _compile(ALGEBRAS[1].full_team, sequents)
+    ops = [op for segment in prog.segments for op in segment]
+    assert sum(1 for op in ops if op[0] == DOWN) == 2
+    # the second sequent adds only its meet; both dn(.) come from the first
+    assert [op[0] for op in prog.segments[1]] == [AND]
+
+
+def test_deep_formula_compiles_without_recursion():
+    alpha = FVar("p")
+    for _ in range(5000):
+        alpha = Cap(FVar("q"), alpha)
+    alg = ALGEBRAS[1]
+    env = {"p": 0b1011, "q": 0b0111}
+    assert alg.denote_flat(alpha, env) == 0b0011
