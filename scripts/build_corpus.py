@@ -8,47 +8,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from inqmt.calculus import check_derivation
-from inqmt.cutelim import find_principal_cuts, reduce_principal_cut
-from inqmt.derivations import (
-    completeness_dne,
-    completeness_kp,
-    lemma_base,
-    lemma_cap_elim,
-    lemma_cap_intro,
-    lemma_imp_elim,
-    lemma_imp_intro,
-    principal_cut_example,
-)
-from inqmt.formulas import Cap, Down, FVar, FZero
+from inqmt.derivations import corpus_derivations
 from inqmt.parser import derivation_to_sexp, parse_derivation
-
-p, q, r = FVar("p"), FVar("q"), FVar("r")
-
-scripts = {
-    "lemma52_base": lemma_base(p),
-    "lemma52_cap_elim": lemma_cap_elim(p, q),
-    "lemma52_cap_intro": lemma_cap_intro(p, q),
-    "lemma52_imp_elim": lemma_imp_elim(p, q),
-    "lemma52_imp_intro": lemma_imp_intro(p, q),
-    "appendix_dne": completeness_dne(p),
-    "appendix_kp": completeness_kp(p, Down(q), Down(r)),
-}
-
-for stem, formula in (
-    ("cut_constant", FZero()),
-    ("cut_propvar", p),
-    ("cut_cap", Cap(p, q)),
-    ("cut_down", Down(p)),
-):
-    before = principal_cut_example(formula)
-    (site,) = find_principal_cuts(before)
-    after = reduce_principal_cut(before, site)
-    scripts[f"{stem}_before"] = before
-    scripts[f"{stem}_after"] = after
 
 out = ROOT / "src" / "inqmt" / "corpus"
 out.mkdir(exist_ok=True)
-for name, deriv in scripts.items():
+for name, deriv in corpus_derivations().items():
     res = check_derivation(deriv)
     assert res.ok, (name, res.reason)
     txt = derivation_to_sexp(deriv)

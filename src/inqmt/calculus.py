@@ -36,17 +36,21 @@ from . import metavars as mv
 from .algebra import TeamAlgebra, for_context
 from .contexts import Context
 from .denote import Compiler, Machine, Polarity, bind, denote
-from .formulas import Down, FVar, FZero, FlatFormula, GeneralFormula
+from .formulas import Cap, Down, FImp, FVar, FlatFormula, GAnd, GeneralFormula, GImp, GOr
 from .rules import FAMILIES, RuleSchema, pseq, rule_table
 from .structures import (
+    Comma,
     Derivation,
+    DownOf,
+    FOf,
+    FStarOf,
     FlatFml,
     FlatStructure,
     GenFml,
     GeneralStructure,
     Gt,
     Path,
-    Phi,
+    Semi,
     Sequent,
     Sort,
     Sup,
@@ -84,65 +88,39 @@ def polarity_of(seq: Sequent, path: Path) -> Polarity:
 # Pattern matching
 
 
-def _match_formula(pat, val, bnd) -> bool:
-    if isinstance(pat, mv.PMeta):
-        if not isinstance(val, FVar):
-            return False
-        prior = bnd.get(pat)
-        if prior is None:
-            bnd[pat] = val
-            return True
-        return prior == val
-    if isinstance(pat, mv.FMetaF):
-        if not isinstance(val, FlatFormula) or mv.is_meta(val):
-            return False
-    elif isinstance(pat, mv.FMetaG):
-        if not isinstance(val, GeneralFormula) or mv.is_meta(val):
-            return False
-    else:
-        if type(pat) is not type(val):
-            return False
-        if isinstance(pat, FVar):
-            return pat.name == val.name
-        if isinstance(pat, FZero):
-            return True
-        if isinstance(pat, Down):
-            return _match_formula(pat.body, val.body, bnd)
-        return _match_formula(pat.left, val.left, bnd) and _match_formula(
-            pat.right, val.right, bnd
-        )
-    prior = bnd.get(pat)
-    if prior is None:
-        bnd[pat] = val
-        return True
-    return prior == val
+# metavariable class -> the terms it stands for
+_META_RANGE = {
+    mv.PMeta: FVar,
+    mv.FMetaF: FlatFormula,
+    mv.FMetaG: GeneralFormula,
+    mv.SMetaF: FlatStructure,
+    mv.SMetaG: GeneralStructure,
+}
+_BINARY = (Cap, FImp, GAnd, GOr, GImp, Comma, Sup, Semi, Gt)
 
 
-def _match_structure(pat, val, bnd) -> bool:
-    if isinstance(pat, mv.SMetaF):
-        if not isinstance(val, FlatStructure) or mv.is_meta(val):
+def _match(pat, val, bnd) -> bool:
+    """Match a pattern formula or structure against a term, binding each
+    metavariable to the non-meta term it covers; a metavariable met again
+    must cover an equal term."""
+    allowed = _META_RANGE.get(type(pat))
+    if allowed is not None:
+        if not isinstance(val, allowed) or mv.is_meta(val):
             return False
-    elif isinstance(pat, mv.SMetaG):
-        if not isinstance(val, GeneralStructure) or mv.is_meta(val):
-            return False
-    else:
-        if type(pat) is not type(val):
-            return False
-        if isinstance(pat, Phi):
-            return True
-        if isinstance(pat, (FlatFml, GenFml)):
-            return _match_formula(pat.formula, val.formula, bnd)
-        pk, vk = children(pat), children(val)
-        return all(_match_structure(p, v, bnd) for p, v in zip(pk, vk))
-    prior = bnd.get(pat)
-    if prior is None:
-        bnd[pat] = val
-        return True
-    return prior == val
+        return bnd.setdefault(pat, val) == val
+    if type(pat) is not type(val):
+        return False
+    if isinstance(pat, _BINARY):
+        return _match(pat.left, val.left, bnd) and _match(pat.right, val.right, bnd)
+    if isinstance(pat, (FlatFml, GenFml)):
+        return _match(pat.formula, val.formula, bnd)
+    if isinstance(pat, (Down, FOf, DownOf, FStarOf)):
+        return _match(pat.body, val.body, bnd)
+    return pat == val  # variables, 0, Ph
 
 
 def _match_sequent(pat: Sequent, val: Sequent, bnd) -> bool:
-    return _match_structure(pat.antecedent, val.antecedent, bnd) and _match_structure(
+    return _match(pat.antecedent, val.antecedent, bnd) and _match(
         pat.succedent, val.succedent, bnd
     )
 
@@ -184,10 +162,13 @@ def _match_surgical(schema, conclusion, premises, active: Path | None) -> Option
     return None
 
 
-def match_rule(schema: RuleSchema, conclusion: Sequent, premises: list[Sequent]):
-    """Match one schema instance; None when the shapes do not fit."""
+def match_rule(
+    schema: RuleSchema, conclusion: Sequent, premises: list[Sequent], active: Path | None = None
+):
+    """Match one schema instance; None when the shapes do not fit.  A
+    surgical cut with an active path replaces the occurrence there only."""
     if schema.surgical:
-        return _match_surgical(schema, conclusion, premises, None)
+        return _match_surgical(schema, conclusion, premises, active)
     if len(premises) != len(schema.premises):
         return None
     directions = [(schema.premises, schema.conclusion, False)]
@@ -254,10 +235,7 @@ def _check_node(node: Derivation) -> tuple[Optional[MatchBinding], str, str]:
         if schema.n_premises != len(premises):
             continue
         arity_ok = True
-        if schema.surgical:
-            m = _match_surgical(schema, node.conclusion, premises, node.active)
-        else:
-            m = match_rule(schema, node.conclusion, premises)
+        m = match_rule(schema, node.conclusion, premises, node.active)
         if m is not None:
             note = "extension: display postulate" if schema.extension else ""
             return m, "", note

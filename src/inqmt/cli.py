@@ -76,12 +76,11 @@ def cmd_valid(args) -> int:
 def cmd_flat(args) -> int:
     ctx = _context(args)
     phi = parse_inql(args.formula)
-    semantic = teams.is_flat_semantic(ctx, phi)
+    table = teams.support_table(ctx, phi)
+    semantic = teams.is_flat_table(ctx, table)
     flattened = translate.flatten(phi)
-    eq_flat = teams.support_table(ctx, phi) == teams.support_table(ctx, flattened)
-    nn = teams.support_table(ctx, phi) == teams.support_table(
-        ctx, inq_neg(inq_neg(phi))
-    )
+    eq_flat = table == teams.support_table(ctx, flattened)
+    nn = table == teams.support_table(ctx, inq_neg(inq_neg(phi)))
     payload = {
         "formula": str(phi),
         "flat": semantic,

@@ -223,17 +223,23 @@ def _rewrite(node: Derivation, formula) -> tuple[Derivation, str]:
     raise UnsupportedPatternError(f"no reduction figure for cut formula {formula}")
 
 
-def reduce_principal_cut(d: Derivation, site: CutSite) -> Derivation:
-    """Apply the local rewrite at a both-principal cut site."""
-    if not site.principal:
-        raise UnsupportedPatternError(f"cut at {site.addr} is not principal on both sides")
+def _rewrite_at(d: Derivation, site: CutSite) -> tuple[Derivation, str]:
+    """d with the cut at site rewritten, and the rewrite's note; the cut
+    node's endsequent must not move."""
     node = d.at(site.addr)
-    new, _ = _rewrite(node, site.formula)
+    new, note = _rewrite(node, site.formula)
     if new.conclusion != node.conclusion:
         raise AssertionError(
             f"rewrite changed the endsequent: {node.conclusion} -> {new.conclusion}"
         )
-    return d.replace(site.addr, new)
+    return d.replace(site.addr, new), note
+
+
+def reduce_principal_cut(d: Derivation, site: CutSite) -> Derivation:
+    """Apply the local rewrite at a both-principal cut site."""
+    if not site.principal:
+        raise UnsupportedPatternError(f"cut at {site.addr} is not principal on both sides")
+    return _rewrite_at(d, site)[0]
 
 
 @dataclass
@@ -267,11 +273,7 @@ def reduce_all(d: Derivation, fuel: int = 100) -> tuple[Derivation, ReduceReport
             report.fuel_exhausted = True
             break
         site = sites[0]
-        node = d.at(site.addr)
-        new, note = _rewrite(node, site.formula)
-        if new.conclusion != node.conclusion:
-            raise AssertionError("rewrite changed the endsequent")
-        d = d.replace(site.addr, new)
+        d, note = _rewrite_at(d, site)
         report.steps.append(ReduceStep(site.addr, str(site.formula), note))
         fuel -= 1
     remaining = find_cut_sites(d)

@@ -9,6 +9,7 @@ the output of these builders (tests pin that equality).
 
 from __future__ import annotations
 
+from .cutelim import find_principal_cuts, reduce_principal_cut
 from .formulas import (
     Cap,
     Down,
@@ -347,3 +348,28 @@ def parametric_cut_example() -> Derivation:
     provider = _d("W", Comma(fs(p), fs(q)), p, _d("Id", p, p))
     consumer = _d("Id", p, p)
     return _d("Cut", Comma(fs(p), fs(q)), p, provider, consumer, active=("ant",))
+
+
+def corpus_derivations() -> dict[str, Derivation]:
+    """The builders' output for every bundled corpus script, by name."""
+    p, q, r = FVar("p"), FVar("q"), FVar("r")
+    scripts = {
+        "lemma52_base": lemma_base(p),
+        "lemma52_cap_elim": lemma_cap_elim(p, q),
+        "lemma52_cap_intro": lemma_cap_intro(p, q),
+        "lemma52_imp_elim": lemma_imp_elim(p, q),
+        "lemma52_imp_intro": lemma_imp_intro(p, q),
+        "appendix_dne": completeness_dne(p),
+        "appendix_kp": completeness_kp(p, Down(q), Down(r)),
+    }
+    for stem, formula in (
+        ("cut_constant", FZero()),
+        ("cut_propvar", p),
+        ("cut_cap", Cap(p, q)),
+        ("cut_down", Down(p)),
+    ):
+        before = principal_cut_example(formula)
+        (site,) = find_principal_cuts(before)
+        scripts[f"{stem}_before"] = before
+        scripts[f"{stem}_after"] = reduce_principal_cut(before, site)
+    return scripts

@@ -8,7 +8,8 @@ language, where every General leaf wraps a Flat formula.
 
 All nodes are frozen dataclasses: formulas compare and hash structurally
 and are safe to share between concurrent readers.  Negation-style sugar
-is expanded by the constructors below (and by the parser), never stored.
+is expanded by the constructors below (and by the parser), never stored;
+the parser module prints every sort.
 """
 
 from __future__ import annotations
@@ -17,14 +18,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+
+def term_text(term) -> str:
+    """The printed form of a formula or structure (the __str__ of both)."""
+    from .parser import print_term  # deferred: the parser imports this module
+
+    return print_term(term)
+
+
 # ---------------------------------------------------------------------------
 # InqL formulas
 
 
 @dataclass(frozen=True)
 class InqFormula:
-    def __str__(self) -> str:
-        return print_inql(self)
+    __str__ = term_text
 
 
 @dataclass(frozen=True)
@@ -105,8 +113,7 @@ def inq_variables(phi: InqFormula) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class FlatFormula:
-    def __str__(self) -> str:
-        return print_flat(self)
+    __str__ = term_text
 
 
 @dataclass(frozen=True)
@@ -158,8 +165,7 @@ def flat_variables(alpha: FlatFormula) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class GeneralFormula:
-    def __str__(self) -> str:
-        return print_general(self)
+    __str__ = term_text
 
 
 @dataclass(frozen=True)
@@ -223,73 +229,6 @@ def subformulas(f: Formula):
 
 def is_subterm(needle: Formula, hay: Formula) -> bool:
     return any(needle == sub for sub in subformulas(hay))
-
-
-# ---------------------------------------------------------------------------
-# Printers.  Parenthesisation follows binding strength; implications are
-# right-associative, the other binary connectives left-associative.
-
-_INQ_PREC = {IImp: 1, IOr: 2, IAnd: 3}
-_FLAT_PREC = {FImp: 1, Cap: 3}
-_GEN_PREC = {GImp: 1, GOr: 2, GAnd: 3}
-_RIGHT_ASSOC = (IImp, FImp, GImp)
-
-
-def _print_binary(f, prec_table, symbol_table, atom_printer, min_prec):
-    cls = type(f)
-    if cls not in prec_table:
-        return atom_printer(f)
-    prec = prec_table[cls]
-    if cls in _RIGHT_ASSOC:
-        left = _print_binary(f.left, prec_table, symbol_table, atom_printer, prec + 1)
-        right = _print_binary(f.right, prec_table, symbol_table, atom_printer, prec)
-    else:
-        left = _print_binary(f.left, prec_table, symbol_table, atom_printer, prec)
-        right = _print_binary(f.right, prec_table, symbol_table, atom_printer, prec + 1)
-    text = f"{left} {symbol_table[cls]} {right}"
-    if prec < min_prec:
-        text = f"({text})"
-    return text
-
-
-def print_inql(phi: InqFormula) -> str:
-    def atom(f):
-        if isinstance(f, IVar):
-            return f.name
-        if isinstance(f, IZero):
-            return "0"
-        name = getattr(f, "name", None)
-        if isinstance(name, str):
-            return name
-        raise TypeError(f"not an InqL formula: {f!r}")
-
-    return _print_binary(phi, _INQ_PREC, {IImp: "->", IOr: "\\/", IAnd: "/\\"}, atom, 0)
-
-
-def print_flat(alpha: FlatFormula) -> str:
-    def atom(f):
-        if isinstance(f, FVar):
-            return f.name
-        if isinstance(f, FZero):
-            return "0"
-        name = getattr(f, "name", None)
-        if isinstance(name, str):
-            return name
-        raise TypeError(f"not a Flat formula: {f!r}")
-
-    return _print_binary(alpha, _FLAT_PREC, {FImp: "~>", Cap: "&"}, atom, 0)
-
-
-def print_general(a: GeneralFormula) -> str:
-    def atom(f):
-        if isinstance(f, Down):
-            return f"dn({print_flat(f.body)})"
-        name = getattr(f, "name", None)
-        if isinstance(name, str):
-            return name
-        raise TypeError(f"not a General formula: {f!r}")
-
-    return _print_binary(a, _GEN_PREC, {GImp: "=>", GOr: "\\/", GAnd: "/\\"}, atom, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Parsers for formulas, structures, sequents, and derivation scripts.
+"""Parser and printer for formulas, structures, sequents, and derivation scripts.
 
 Concrete syntax (ASCII):
 
@@ -11,9 +11,16 @@ Concrete syntax (ASCII):
     General structs  Dn(G)   Fs(G)   X ; Y   X > Y   plus formulas as atoms
     Sequents         <structure> |- <structure>, both sides of one sort
 
-Sugar is expanded while parsing; printers emit the desugared connectives,
-so parse(print(t)) = t.  Derivation scripts are s-expressions, one
-derivation per UTF-8 file:
+Each sort has one table of infix operators: token, binding strength,
+associativity and constructor.  In the Flat and General tables the
+structural operators bind looser than every formula connective, so a
+formula is an atomic structure wherever it stands.  One precedence-
+climbing routine reads every table, and one printer reads them back:
+sugar rows are parse-only, so parse(print(t)) = t.  Every atom and
+prefix belongs to exactly one sort, so a sequent side is read in the
+sort named by its first token after any opening parentheses.
+
+Derivation scripts are s-expressions, one derivation per UTF-8 file:
 
     (rule "<name>" (seq "<antecedent>" "<succedent>") <premise>*)
 """
@@ -21,6 +28,7 @@ derivation per UTF-8 file:
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from . import metavars as mv
 from .errors import MixedSortError, ParseError
@@ -66,7 +74,7 @@ from .structures import (
     Sup,
 )
 
-_TOKEN_RE = re.compile(r"~>|\|>|\|-|/\\|\\/|->|=>|[&|~?>;,()=]|[A-Za-z][A-Za-z0-9_]*|0")
+_TOKEN_RE = re.compile(r"(~>|\|>|\|-|/\\|\\/|->|=>|[&|~?>;,()=]|[A-Za-z][A-Za-z0-9_]*|0)|\S")
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
 _KEYWORDS = frozenset(("Ph", "F", "Fs", "Dn", "dn", "neg"))
 EOF = "<eof>"
@@ -74,17 +82,11 @@ EOF = "<eof>"
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        tokens.append((m.group(), i))
-        i = m.end()
-    tokens.append((EOF, n))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex is None:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.group(), m.start()))
+    tokens.append((EOF, len(text)))
     return tokens
 
 
@@ -92,281 +94,215 @@ def _is_variable(tok: str) -> bool:
     return tok not in _KEYWORDS and _VAR_RE.fullmatch(tok) is not None
 
 
-class _Parser:
+# ---------------------------------------------------------------------------
+# The operator tables
+
+
+@dataclass(frozen=True, eq=False)
+class Grammar:
+    """The syntax of one sort."""
+
+    name: str
+    infix: dict  # token -> (binding strength, right-associative, constructor)
+    prefix: dict  # token -> constructor; all of them sugar
+    atoms: dict  # token -> constant
+    wrappers: dict  # token -> (constructor, reader of the parenthesised body)
+    metas: dict  # token -> metavariable class, in pattern mode
+    variable: type | None  # constructor of variables
+    formula: type  # base class of the sort's formulas
+    structure: type | None = None  # base class of its structures
+    lift: type | None = None  # a formula as an atomic structure
+    floor: int = 1  # weakest formula connective; weaker rows are structural
+
+
+def _dependence(names: list[str]) -> InqFormula:
+    args = [IVar(n) for n in names]
+    return inq_dependence(args[:-1], args[-1])
+
+
+INQL = Grammar(
+    "InqL",
+    infix={"->": (1, True, IImp), "\\/": (2, False, IOr), "/\\": (3, False, IAnd)},
+    prefix={"~": inq_neg, "?": inq_question},
+    atoms={"0": IZERO},
+    wrappers={"=": (_dependence, lambda r: r.variables())},
+    metas={},
+    variable=IVar,
+    formula=InqFormula,
+)
+
+FLAT = Grammar(
+    "Flat",
+    infix={
+        "|>": (1, True, Sup),
+        ",": (2, False, Comma),
+        "~>": (3, True, FImp),
+        "|": (4, False, flat_join),
+        "&": (5, False, Cap),
+    },
+    prefix={"~": flat_neg},
+    atoms={"0": FZERO, "Ph": PHI},
+    wrappers={"F": (FOf, lambda r: r.structure(GENERAL))},
+    metas={
+        **dict.fromkeys(mv.PMETA_NAMES, mv.PMeta),
+        **dict.fromkeys(mv.FLAT_FMETA_NAMES, mv.FMetaF),
+        **dict.fromkeys(mv.FLAT_SMETA_NAMES, mv.SMetaF),
+    },
+    variable=FVar,
+    formula=FlatFormula,
+    structure=FlatStructure,
+    lift=FlatFml,
+    floor=3,
+)
+
+GENERAL = Grammar(
+    "General",
+    infix={
+        ">": (1, True, Gt),
+        ";": (2, False, Semi),
+        "=>": (3, True, GImp),
+        "\\/": (4, False, GOr),
+        "/\\": (5, False, GAnd),
+    },
+    prefix={"neg": gen_neg},
+    atoms={},
+    wrappers={
+        "dn": (Down, lambda r: r.formula(FLAT)),
+        "Dn": (DownOf, lambda r: r.structure(FLAT)),
+        "Fs": (FStarOf, lambda r: r.structure(FLAT)),
+    },
+    metas={
+        **dict.fromkeys(mv.GEN_FMETA_NAMES, mv.FMetaG),
+        **dict.fromkeys(mv.GEN_SMETA_NAMES, mv.SMetaG),
+    },
+    variable=None,
+    formula=GeneralFormula,
+    structure=GeneralStructure,
+    lift=GenFml,
+    floor=3,
+)
+
+# the sort each leading token names; variables lead Flat sides
+_SIDE_SORTS = {
+    tok: g for g in (FLAT, GENERAL) for tok in (*g.atoms, *g.wrappers, *g.prefix, *g.metas)
+}
+
+
+# ---------------------------------------------------------------------------
+# Reading
+
+
+class _Reader:
+    """A token list read by precedence climbing over the sort tables."""
+
     def __init__(self, text: str, pattern_mode: bool = False):
         self.tokens = _tokenize(text)
         self.i = 0
         self.pattern_mode = pattern_mode
 
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
-
-    def pos(self) -> int:
-        return self.tokens[self.i][1]
-
-    def advance(self) -> str:
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str):
-        if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.pos())
-        self.advance()
-
-    def expect_eof(self):
-        if self.peek() != EOF:
-            raise ParseError(f"unexpected trailing input {self.peek()!r}", self.pos())
-
-    # ---------------------------------------------------------------- InqL
-
-    def inql(self) -> InqFormula:
-        left = self.inql_or()
-        if self.peek() == "->":
-            self.advance()
-            return IImp(left, self.inql())
-        return left
-
-    def inql_or(self) -> InqFormula:
-        f = self.inql_and()
-        while self.peek() == "\\/":
-            self.advance()
-            f = IOr(f, self.inql_and())
-        return f
-
-    def inql_and(self) -> InqFormula:
-        f = self.inql_unary()
-        while self.peek() == "/\\":
-            self.advance()
-            f = IAnd(f, self.inql_unary())
-        return f
-
-    def inql_unary(self) -> InqFormula:
-        if self.peek() == "~":
-            self.advance()
-            return inq_neg(self.inql_unary())
-        if self.peek() == "?":
-            self.advance()
-            return inq_question(self.inql_unary())
-        return self.inql_atom()
-
-    def inql_atom(self) -> InqFormula:
+    def expect(self, want: str):
         tok, pos = self.tokens[self.i]
-        if tok == "0":
-            self.advance()
-            return IZERO
-        if tok == "(":
-            self.advance()
-            f = self.inql()
-            self.expect(")")
-            return f
-        if tok == "=":
-            self.advance()
-            self.expect("(")
-            names = [self._variable()]
-            while self.peek() == ",":
-                self.advance()
-                names.append(self._variable())
-            self.expect(")")
-            args = [IVar(n) for n in names]
-            return inq_dependence(args[:-1], args[-1])
-        if _is_variable(tok):
-            self.advance()
-            return IVar(tok)
-        raise ParseError(f"expected an InqL formula, found {tok!r}", pos)
+        if tok != want:
+            raise ParseError(f"expected {want!r}, found {tok!r}", pos)
+        self.i += 1
 
-    def _variable(self) -> str:
+    def end(self, stop: str = EOF):
+        tok, pos = self.tokens[self.i]
+        if tok != stop:
+            raise ParseError(f"unexpected trailing input {tok!r}", pos)
+
+    def whole(self, g: Grammar, formula: bool):
+        t = self.formula(g) if formula else self.structure(g)
+        self.end()
+        return t
+
+    def formula(self, g: Grammar):
+        return self.climb(g, g.floor, g.floor)
+
+    def structure(self, g: Grammar):
+        return self.lifted(g, self.climb(g, 1, 1))
+
+    def side(self, stop: str) -> tuple[Structure, Grammar]:
+        """A sequent side up to the stop token, in the sort its first token
+        after any '(' names."""
+        j = self.i
+        while self.tokens[j][0] == "(":
+            j += 1
+        tok, pos = self.tokens[j]
+        g = _SIDE_SORTS.get(tok) or (FLAT if _is_variable(tok) else None)
+        if g is None:
+            raise ParseError(f"expected a structure, found {tok!r}", pos)
+        s = self.structure(g)
+        self.end(stop)
+        return s, g
+
+    @staticmethod
+    def lifted(g: Grammar, t):
+        return t if isinstance(t, g.structure) else g.lift(t)
+
+    def climb(self, g: Grammar, min_strength: int, lo: int):
+        """Operators binding at least min_strength.  lo is the weakest
+        operator the context admits: 1 where structures may stand, the
+        sort's floor where only formulas may."""
+        left = self.operand(g, lo)
+        tokens = self.tokens
+        while True:
+            tok, pos = tokens[self.i]
+            row = g.infix.get(tok)
+            if row is None or row[0] < min_strength:
+                return left
+            strength, right, build = row
+            self.i += 1
+            tighter = strength if right else strength + 1
+            if strength < g.floor:
+                rhs = self.climb(g, tighter, 1)
+                left = build(self.lifted(g, left), self.lifted(g, rhs))
+            elif isinstance(left, g.formula):
+                left = build(left, self.climb(g, tighter, g.floor))
+            else:
+                raise ParseError(f"{tok!r} joins {g.name} formulas, not structures", pos)
+
+    def operand(self, g: Grammar, lo: int):
+        tok, pos = self.tokens[self.i]
+        self.i += 1
+        if tok == "(":
+            t = self.climb(g, lo, lo)
+            self.expect(")")
+            return t
+        if tok in g.prefix:
+            return g.prefix[tok](self.operand(g, g.floor))
+        t = None
+        if tok in g.atoms:
+            t = g.atoms[tok]
+        elif tok in g.wrappers:
+            build, read = g.wrappers[tok]
+            self.expect("(")
+            t = build(read(self))
+            self.expect(")")
+        elif self.pattern_mode:
+            if tok in g.metas:
+                t = g.metas[tok](tok)
+        elif g.variable is not None and _is_variable(tok):
+            t = g.variable(tok)
+        formula_only = lo >= g.floor
+        if t is None or (formula_only and not isinstance(t, g.formula)):
+            what = "formula" if formula_only else "structure"
+            raise ParseError(f"expected a {what} in {g.name}, found {tok!r}", pos)
+        return t
+
+    def variables(self) -> list[str]:
+        names = [self.variable()]
+        while self.tokens[self.i][0] == ",":
+            self.i += 1
+            names.append(self.variable())
+        return names
+
+    def variable(self) -> str:
         tok, pos = self.tokens[self.i]
         if not _is_variable(tok):
             raise ParseError(f"expected a variable, found {tok!r}", pos)
-        self.advance()
+        self.i += 1
         return tok
-
-    # ---------------------------------------------------------------- Flat
-
-    def flat(self) -> FlatFormula:
-        left = self.flat_join()
-        if self.peek() == "~>":
-            self.advance()
-            return FImp(left, self.flat())
-        return left
-
-    def flat_join(self) -> FlatFormula:
-        f = self.flat_and()
-        while self.peek() == "|":
-            self.advance()
-            f = flat_join(f, self.flat_and())
-        return f
-
-    def flat_and(self) -> FlatFormula:
-        f = self.flat_unary()
-        while self.peek() == "&":
-            self.advance()
-            f = Cap(f, self.flat_unary())
-        return f
-
-    def flat_unary(self) -> FlatFormula:
-        if self.peek() == "~":
-            self.advance()
-            return flat_neg(self.flat_unary())
-        return self.flat_atom()
-
-    def flat_atom(self) -> FlatFormula:
-        tok, pos = self.tokens[self.i]
-        if tok == "0":
-            self.advance()
-            return FZERO
-        if tok == "(":
-            self.advance()
-            f = self.flat()
-            self.expect(")")
-            return f
-        if self.pattern_mode:
-            if tok in mv.PMETA_NAMES:
-                self.advance()
-                return mv.PMeta(tok)
-            if tok in mv.FLAT_FMETA_NAMES:
-                self.advance()
-                return mv.FMetaF(tok)
-            raise ParseError(f"expected a Flat formula pattern, found {tok!r}", pos)
-        if _is_variable(tok):
-            self.advance()
-            return FVar(tok)
-        raise ParseError(f"expected a Flat formula, found {tok!r}", pos)
-
-    # ------------------------------------------------------------- General
-
-    def general(self) -> GeneralFormula:
-        left = self.gen_or()
-        if self.peek() == "=>":
-            self.advance()
-            return GImp(left, self.general())
-        return left
-
-    def gen_or(self) -> GeneralFormula:
-        f = self.gen_and()
-        while self.peek() == "\\/":
-            self.advance()
-            f = GOr(f, self.gen_and())
-        return f
-
-    def gen_and(self) -> GeneralFormula:
-        f = self.gen_unary()
-        while self.peek() == "/\\":
-            self.advance()
-            f = GAnd(f, self.gen_unary())
-        return f
-
-    def gen_unary(self) -> GeneralFormula:
-        if self.peek() == "neg":
-            self.advance()
-            return gen_neg(self.gen_unary())
-        return self.gen_atom()
-
-    def gen_atom(self) -> GeneralFormula:
-        tok, pos = self.tokens[self.i]
-        if tok == "dn":
-            self.advance()
-            self.expect("(")
-            body = self.flat()
-            self.expect(")")
-            return Down(body)
-        if tok == "(":
-            self.advance()
-            f = self.general()
-            self.expect(")")
-            return f
-        if self.pattern_mode and tok in mv.GEN_FMETA_NAMES:
-            self.advance()
-            return mv.FMetaG(tok)
-        raise ParseError(f"expected a General formula, found {tok!r}", pos)
-
-    # ---------------------------------------------------- Flat structures
-
-    def flat_structure(self) -> FlatStructure:
-        left = self.fs_comma()
-        if self.peek() == "|>":
-            self.advance()
-            return Sup(left, self.flat_structure())
-        return left
-
-    def fs_comma(self) -> FlatStructure:
-        s = self.fs_atom()
-        while self.peek() == ",":
-            self.advance()
-            s = Comma(s, self.fs_atom())
-        return s
-
-    def fs_atom(self) -> FlatStructure:
-        tok, pos = self.tokens[self.i]
-        if tok == "Ph":
-            self.advance()
-            return PHI
-        if tok == "F":
-            self.advance()
-            self.expect("(")
-            body = self.general_structure()
-            self.expect(")")
-            return FOf(body)
-        if self.pattern_mode and tok in mv.FLAT_SMETA_NAMES:
-            self.advance()
-            return mv.SMetaF(tok)
-        mark = self.i
-        try:
-            return FlatFml(self.flat())
-        except ParseError:
-            self.i = mark
-        if tok == "(":
-            self.advance()
-            s = self.flat_structure()
-            self.expect(")")
-            return s
-        raise ParseError(f"expected a Flat structure, found {tok!r}", pos)
-
-    # ------------------------------------------------- General structures
-
-    def general_structure(self) -> GeneralStructure:
-        left = self.gs_semi()
-        if self.peek() == ">":
-            self.advance()
-            return Gt(left, self.general_structure())
-        return left
-
-    def gs_semi(self) -> GeneralStructure:
-        s = self.gs_atom()
-        while self.peek() == ";":
-            self.advance()
-            s = Semi(s, self.gs_atom())
-        return s
-
-    def gs_atom(self) -> GeneralStructure:
-        tok, pos = self.tokens[self.i]
-        if tok == "Dn":
-            self.advance()
-            self.expect("(")
-            body = self.flat_structure()
-            self.expect(")")
-            return DownOf(body)
-        if tok == "Fs":
-            self.advance()
-            self.expect("(")
-            body = self.flat_structure()
-            self.expect(")")
-            return FStarOf(body)
-        if self.pattern_mode and tok in mv.GEN_SMETA_NAMES:
-            self.advance()
-            return mv.SMetaG(tok)
-        mark = self.i
-        try:
-            return GenFml(self.general())
-        except ParseError:
-            self.i = mark
-        if tok == "(":
-            self.advance()
-            s = self.general_structure()
-            self.expect(")")
-            return s
-        raise ParseError(f"expected a General structure, found {tok!r}", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -374,88 +310,98 @@ class _Parser:
 
 
 def parse_inql(text: str) -> InqFormula:
-    p = _Parser(text)
-    f = p.inql()
-    p.expect_eof()
-    return f
+    return _Reader(text).whole(INQL, formula=True)
 
 
 def parse_flat(text: str, pattern_mode: bool = False) -> FlatFormula:
-    p = _Parser(text, pattern_mode)
-    f = p.flat()
-    p.expect_eof()
-    return f
+    return _Reader(text, pattern_mode).whole(FLAT, formula=True)
 
 
 def parse_general(text: str, pattern_mode: bool = False) -> GeneralFormula:
-    p = _Parser(text, pattern_mode)
-    f = p.general()
-    p.expect_eof()
-    return f
+    return _Reader(text, pattern_mode).whole(GENERAL, formula=True)
 
 
 def parse_flat_structure(text: str, pattern_mode: bool = False) -> FlatStructure:
-    p = _Parser(text, pattern_mode)
-    s = p.flat_structure()
-    p.expect_eof()
-    return s
+    return _Reader(text, pattern_mode).whole(FLAT, formula=False)
 
 
 def parse_general_structure(text: str, pattern_mode: bool = False) -> GeneralStructure:
-    p = _Parser(text, pattern_mode)
-    s = p.general_structure()
-    p.expect_eof()
-    return s
-
-
-def _parse_side(text: str, pattern_mode: bool = False) -> dict:
-    """Parse text as a structure of each sort it admits."""
-    out = {}
-    errors = []
-    for sort, method in (("Flat", "flat_structure"), ("General", "general_structure")):
-        p = _Parser(text, pattern_mode)
-        try:
-            s = getattr(p, method)()
-            p.expect_eof()
-            out[sort] = s
-        except ParseError as e:
-            errors.append(e)
-    if not out:
-        raise max(errors, key=lambda e: e.pos)
-    return out
+    return _Reader(text, pattern_mode).whole(GENERAL, formula=False)
 
 
 def parse_structure(text: str, pattern_mode: bool = False) -> Structure:
-    sides = _parse_side(text, pattern_mode)
-    # leaves of the two sorts are disjoint, so at most one parse succeeds
-    return next(iter(sides.values()))
+    return _Reader(text, pattern_mode).side(EOF)[0]
+
+
+def _sequent(ant, ant_sort: Grammar, suc, suc_sort: Grammar, text: str) -> Sequent:
+    if ant_sort is not suc_sort:
+        raise MixedSortError(
+            f"mixed types: antecedent is {ant_sort.name}, succedent is {suc_sort.name}: {text}"
+        )
+    return Sequent(ant, suc)
 
 
 def sequent_from_sides(ant_text: str, suc_text: str, pattern_mode: bool = False) -> Sequent:
-    ant = _parse_side(ant_text, pattern_mode)
-    suc = _parse_side(suc_text, pattern_mode)
-    common = [sort for sort in ("Flat", "General") if sort in ant and sort in suc]
-    if not common:
-        raise MixedSortError(
-            f"mixed types: antecedent is {'/'.join(ant)}, succedent is {'/'.join(suc)}: "
-            f"{ant_text} |- {suc_text}"
-        )
-    sort = common[0]
-    return Sequent(ant[sort], suc[sort])
+    ant, ant_sort = _Reader(ant_text, pattern_mode).side(EOF)
+    suc, suc_sort = _Reader(suc_text, pattern_mode).side(EOF)
+    return _sequent(ant, ant_sort, suc, suc_sort, f"{ant_text} |- {suc_text}")
 
 
 def parse_sequent(text: str, pattern_mode: bool = False) -> Sequent:
-    parts = _split_turnstile(text)
-    return sequent_from_sides(parts[0], parts[1], pattern_mode)
+    r = _Reader(text, pattern_mode)
+    turnstiles = [pos for tok, pos in r.tokens if tok == "|-"]
+    if len(turnstiles) != 1:
+        raise ParseError(
+            "a sequent needs exactly one |-", turnstiles[1] if turnstiles else len(text)
+        )
+    ant, ant_sort = r.side("|-")
+    r.i += 1
+    suc, suc_sort = r.side(EOF)
+    return _sequent(ant, ant_sort, suc, suc_sort, text)
 
 
-def _split_turnstile(text: str) -> tuple[str, str]:
-    tokens = _tokenize(text)
-    positions = [pos for tok, pos in tokens if tok == "|-"]
-    if len(positions) != 1:
-        raise ParseError("a sequent needs exactly one |-", positions[1] if positions else len(text))
-    pos = positions[0]
-    return text[:pos], text[pos + 2 :]
+# ---------------------------------------------------------------------------
+# Printing: the tables read backwards.  A child binding looser than its
+# context is parenthesised; sugar rows, whose constructors are functions,
+# are never printed.
+
+_GRAMMARS = (INQL, FLAT, GENERAL)
+_INFIX_OF = {
+    build: (tok, strength, right)
+    for g in _GRAMMARS
+    for tok, (strength, right, build) in g.infix.items()
+    if isinstance(build, type)
+}
+_WORD_OF = {type(t): tok for g in _GRAMMARS for tok, t in g.atoms.items()}
+_WRAPPER_OF = {
+    build: tok
+    for g in _GRAMMARS
+    for tok, (build, _) in g.wrappers.items()
+    if isinstance(build, type)
+}
+_LIFTS = frozenset(g.lift for g in _GRAMMARS if g.lift is not None)
+
+
+def print_term(t, min_strength: int = 0) -> str:
+    """The text of a formula or structure of any sort."""
+    cls = type(t)
+    row = _INFIX_OF.get(cls)
+    if row is not None:
+        tok, strength, right = row
+        # the operand on the associative side may bind as loosely as the operator
+        left = print_term(t.left, strength + 1 if right else strength)
+        text = f"{left} {tok} {print_term(t.right, strength if right else strength + 1)}"
+        return f"({text})" if strength < min_strength else text
+    if cls in _LIFTS:
+        return print_term(t.formula)
+    if cls in _WRAPPER_OF:
+        return f"{_WRAPPER_OF[cls]}({print_term(t.body)})"
+    if cls in _WORD_OF:
+        return _WORD_OF[cls]
+    name = getattr(t, "name", None)
+    if isinstance(name, str):
+        return name
+    raise TypeError(f"not a formula or structure: {t!r}")
 
 
 # ---------------------------------------------------------------------------

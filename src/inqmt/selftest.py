@@ -25,9 +25,10 @@ from .formulas import (
     Down,
     FImp,
     FVar,
-    FZero,
+    FZERO,
     FlatFormula,
     GAnd,
+    GeneralFormula,
     GImp,
     GOr,
     enumerate_inql,
@@ -190,13 +191,15 @@ def _population_suite() -> SuiteResult:
     pop = enumerate_inql(("p", "q"), 3)
     name = "population semantics"
     canon = alg.canonical_assignment()
+    tables = set()
     for phi in pop:
         table = teams.support_table(ctx, phi)
+        tables.add(table)
         if table & 1 == 0:
             return SuiteResult(name, False, f"empty team fails for {phi}")
         if alg.down_closure(table) != table:
             return SuiteResult(name, False, f"downward closure fails for {phi}")
-        flat = teams.is_flat_semantic(ctx, phi)
+        flat = teams.is_flat_table(ctx, table)
         fl = translate.flatten(phi)
         if not is_classical(fl):
             return SuiteResult(name, False, f"flatten not classical for {phi}")
@@ -206,9 +209,8 @@ def _population_suite() -> SuiteResult:
             return SuiteResult(name, False, f"flatness triple splits for {phi}")
         if is_classical(phi) and not flat:
             return SuiteResult(name, False, f"classical not flat: {phi}")
-        if teams.support_table(ctx, phi) != alg.denote_general(translate.tau_i(phi), canon):
+        if table != alg.denote_general(translate.tau_i(phi), canon):
             return SuiteResult(name, False, f"translation adequacy fails for {phi}")
-    tables = sorted({teams.support_table(ctx, phi) for phi in pop})
     for tf in tables:
         for tg in tables:
             if tf | tg == alg.full and tf != alg.full and tg != alg.full:
@@ -216,26 +218,30 @@ def _population_suite() -> SuiteResult:
     return SuiteResult(name, True, f"{len(pop)} formulas, {len(tables)} distinct tables")
 
 
+def _rand_flat(rng: random.Random, atoms: tuple, depth: int) -> FlatFormula:
+    if depth == 0:
+        return rng.choice(atoms)
+    op = rng.choice((Cap, FImp))
+    return op(_rand_flat(rng, atoms, depth - 1), _rand_flat(rng, atoms, rng.randrange(depth)))
+
+
+def _rand_gen(rng: random.Random, atoms: tuple, depth: int) -> GeneralFormula:
+    if depth == 0:
+        return Down(_rand_flat(rng, atoms, 1))
+    op = rng.choice((GAnd, GOr, GImp))
+    return op(_rand_gen(rng, atoms, depth - 1), _rand_gen(rng, atoms, rng.randrange(depth)))
+
+
 def _axiom_suite(samples: int = 1000, seed: int = 0) -> SuiteResult:
     ctx = Context.of("p,q")
     alg = algebra.for_context(ctx)
     rng = random.Random(seed)
+    atoms = (FVar("p"), FVar("q"), FZERO)
     assignment = alg.canonical_assignment()
-
-    def rand_flat(depth):
-        if depth == 0:
-            return rng.choice([FVar("p"), FVar("q"), FZero()])
-        return rng.choice([Cap, FImp])(rand_flat(depth - 1), rand_flat(rng.randrange(depth)))
-
-    def rand_gen(depth):
-        if depth == 0:
-            return Down(rand_flat(1))
-        return rng.choice([GAnd, GOr, GImp])(rand_gen(depth - 1), rand_gen(rng.randrange(depth)))
-
     count = 0
     while count < samples:
-        al, be, ga = rand_flat(2), rand_flat(2), rand_flat(2)
-        a, b, c = rand_gen(1), rand_gen(1), rand_gen(1)
+        al, be, ga = (_rand_flat(rng, atoms, 2) for _ in range(3))
+        a, b, c = (_rand_gen(rng, atoms, 1) for _ in range(3))
         instances = [
             *translate.a1_instances(al, be, ga),
             *translate.a2_instances(a, b, c),
@@ -259,19 +265,9 @@ def _axiom_suite(samples: int = 1000, seed: int = 0) -> SuiteResult:
 
 def _reduction_suite(seed: int = 0) -> SuiteResult:
     rng = random.Random(seed)
-
-    def rand_flat(depth):
-        if depth == 0:
-            return rng.choice([FVar("p"), FVar("q"), FVar("r"), FZero()])
-        return rng.choice([Cap, FImp])(rand_flat(depth - 1), rand_flat(rng.randrange(depth)))
-
-    def rand_gen(depth):
-        if depth == 0:
-            return Down(rand_flat(1))
-        return rng.choice([GAnd, GOr, GImp])(rand_gen(depth - 1), rand_gen(rng.randrange(depth)))
-
+    atoms = (FVar("p"), FVar("q"), FVar("r"), FZERO)
     for i in range(100):
-        formula = rand_flat(2) if i % 2 else rand_gen(1)
+        formula = _rand_flat(rng, atoms, 2) if i % 2 else _rand_gen(rng, atoms, 1)
         before = principal_cut_example(formula)
         after, report = reduce_all(before, fuel=1)
         if not report.steps:

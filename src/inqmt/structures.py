@@ -19,14 +19,12 @@ from typing import Iterator, Union
 
 from .errors import MixedSortError
 from .formulas import (
-    Down,
     FlatFormula,
     GeneralFormula,
     flat_variables,
     gen_variables,
     is_subterm,
-    print_flat,
-    print_general,
+    term_text,
 )
 
 
@@ -41,8 +39,7 @@ class Sort(Enum):
 
 @dataclass(frozen=True)
 class FlatStructure:
-    def __str__(self) -> str:
-        return print_structure(self)
+    __str__ = term_text
 
 
 @dataclass(frozen=True)
@@ -81,8 +78,7 @@ PHI = Phi()
 
 @dataclass(frozen=True)
 class GeneralStructure:
-    def __str__(self) -> str:
-        return print_structure(self)
+    __str__ = term_text
 
 
 @dataclass(frozen=True)
@@ -192,16 +188,31 @@ def replace_at(seq: Sequent, path: Path, replacement: Structure) -> Sequent:
     return Sequent(seq.antecedent, side)
 
 
+def preorder(root, kids, prefix: tuple = ()) -> Iterator[tuple[tuple, object]]:
+    """(address, node) for root and everything below it, parents before
+    their children and children in order; an address is prefix followed
+    by child indices.  The walk keeps an explicit stack and one mutable
+    address, so a step costs the copy of its address at any depth."""
+    yield prefix, root
+    addr = list(prefix)
+    stack = [enumerate(kids(root))]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if stack:
+                addr.pop()
+            continue
+        i, node = step
+        addr.append(i)
+        yield tuple(addr), node
+        stack.append(enumerate(kids(node)))
+
+
 def iter_paths(seq: Sequent) -> Iterator[tuple[Path, Structure]]:
     """All substructure occurrences of both sides, outermost first."""
-
-    def walk(s: Structure, path: Path):
-        yield path, s
-        for i, kid in enumerate(children(s)):
-            yield from walk(kid, path + (i,))
-
-    yield from walk(seq.antecedent, ("ant",))
-    yield from walk(seq.succedent, ("suc",))
+    yield from preorder(seq.antecedent, children, ("ant",))
+    yield from preorder(seq.succedent, children, ("suc",))
 
 
 def operational_terms(seq: Sequent) -> list[FlatFormula | GeneralFormula]:
@@ -218,25 +229,7 @@ def term_is_covered(term, conclusion_terms) -> bool:
 
     Flat terms count as subterms of General terms through dn.
     """
-    for u in conclusion_terms:
-        if isinstance(term, FlatFormula) and isinstance(u, GeneralFormula):
-            if _flat_under(term, u):
-                return True
-        elif type_compatible(term, u) and is_subterm(term, u):
-            return True
-    return False
-
-
-def type_compatible(t, u) -> bool:
-    return (isinstance(t, FlatFormula) and isinstance(u, FlatFormula)) or (
-        isinstance(t, GeneralFormula) and isinstance(u, GeneralFormula)
-    )
-
-
-def _flat_under(term: FlatFormula, u: GeneralFormula) -> bool:
-    if isinstance(u, Down):
-        return is_subterm(term, u.body)
-    return _flat_under(term, u.left) or _flat_under(term, u.right)
+    return any(is_subterm(term, u) for u in conclusion_terms)
 
 
 def structure_variables(s: Structure) -> frozenset[str]:
@@ -267,13 +260,7 @@ class Derivation:
 
     def nodes(self) -> Iterator[tuple[tuple[int, ...], "Derivation"]]:
         """All nodes with their tree addresses, root first."""
-
-        def walk(d: "Derivation", addr: tuple[int, ...]):
-            yield addr, d
-            for i, p in enumerate(d.premises):
-                yield from walk(p, addr + (i,))
-
-        yield from walk(self, ())
+        yield from preorder(self, lambda d: d.premises)
 
     def at(self, addr: tuple[int, ...]) -> "Derivation":
         d = self
@@ -293,43 +280,3 @@ class Derivation:
         for p in self.premises:
             out |= p.variables()
         return out
-
-
-# ---------------------------------------------------------------------------
-# Printer.  Structural operators bind looser than any formula connective;
-# the arrow forms are right-associative and bind loosest in their sort.
-
-_STRUCT_PREC = {Sup: 1, Gt: 1, Comma: 2, Semi: 2}
-_STRUCT_SYM = {Sup: "|>", Gt: ">", Comma: ",", Semi: ";"}
-
-
-def print_structure(s: Structure, min_prec: int = 0) -> str:
-    if isinstance(s, Phi):
-        return "Ph"
-    if isinstance(s, FlatFml):
-        return print_flat(s.formula)
-    if isinstance(s, GenFml):
-        return print_general(s.formula)
-    if isinstance(s, FOf):
-        return f"F({print_structure(s.body)})"
-    if isinstance(s, DownOf):
-        return f"Dn({print_structure(s.body)})"
-    if isinstance(s, FStarOf):
-        return f"Fs({print_structure(s.body)})"
-    cls = type(s)
-    if cls not in _STRUCT_PREC:
-        name = getattr(s, "name", None)
-        if isinstance(name, str):
-            return name
-        raise TypeError(f"not a structure: {s!r}")
-    prec = _STRUCT_PREC[cls]
-    if cls in (Sup, Gt):
-        left = print_structure(s.left, prec + 1)
-        right = print_structure(s.right, prec)
-    else:
-        left = print_structure(s.left, prec)
-        right = print_structure(s.right, prec + 1)
-    text = f"{left} {_STRUCT_SYM[cls]} {right}"
-    if prec < min_prec:
-        text = f"({text})"
-    return text

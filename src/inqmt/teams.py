@@ -112,14 +112,18 @@ def entails(ctx: Context, premises: Iterable[InqFormula], phi: InqFormula) -> bo
 
 def is_flat_semantic(ctx: Context, phi: InqFormula) -> bool:
     """Support determined pointwise: S |= phi iff {v} |= phi for all v in S."""
+    return is_flat_table(ctx, support_table(ctx, phi))
+
+
+def is_flat_table(ctx: Context, table: int) -> bool:
+    """Whether a support table is pointwise: it holds exactly the teams
+    all of whose singletons it holds.  Capped like is_flat_semantic."""
     _check_subteam_cap(ctx, "is_flat_semantic")
-    alg = algebra.for_context(ctx)
-    table = support_table(ctx, phi)
     good = 0
     for w in ctx.worlds():
         if (table >> (1 << w)) & 1:
             good |= 1 << w
-    return table == alg.downset(good)
+    return table == algebra.for_context(ctx).downset(good)
 
 
 def check_deduction_theorem(

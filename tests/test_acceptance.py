@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from inqmt import algebra, corpus, teams, translate
+from inqmt import algebra, corpus, selftest, teams, translate
 from inqmt.calculus import (
     audit_soundness,
     check_derivation,
@@ -177,7 +177,7 @@ def test_criterion_3_hilbert_validation(oracle_tables):
             break
     print(f"  axiom 3 fails for non-classical {witness[0]} at team {witness[1]}")
 
-    sampled = _axiom_instances_hold(1000)
+    sampled = selftest._axiom_suite(1000, seed=41).ok
     report(
         3,
         "Hilbert validation",
@@ -185,44 +185,6 @@ def test_criterion_3_hilbert_validation(oracle_tables):
         f"axioms 2+3 over {len(classical_tables)}x{len(tables)}^2 realized tables, "
         f"witness {witness[1]}, 1000 multi-type instantiations",
     )
-
-
-def _axiom_instances_hold(samples):
-    rng = random.Random(41)
-    assignment = A2.canonical_assignment()
-
-    def rand_flat(depth):
-        if depth == 0:
-            return rng.choice([FVar("p"), FVar("q"), FZero()])
-        return rng.choice((Cap, FImp))(rand_flat(depth - 1), rand_flat(rng.randrange(depth)))
-
-    def rand_gen(depth):
-        if depth == 0:
-            return Down(rand_flat(1))
-        return rng.choice((GAnd, GOr, GImp))(rand_gen(depth - 1), rand_gen(rng.randrange(depth)))
-
-    count = 0
-    while count < samples:
-        al, be, ga = (rand_flat(2) for _ in range(3))
-        a, b, c = (rand_gen(1) for _ in range(3))
-        for inst in translate.a1_instances(al, be, ga):
-            count += 1
-            if not translate.flat_denotes_top(A2, inst, assignment):
-                return False
-        for inst in translate.a2_instances(a, b, c):
-            count += 1
-            if not translate.general_denotes_top(A2, inst, assignment):
-                return False
-        count += 2
-        if not translate.general_denotes_top(A2, translate.a3_instance(al, a, b), assignment):
-            return False
-        if not translate.general_denotes_top(A2, translate.a4_instance(al), assignment):
-            return False
-        if not translate.flat_mp_preserves_top(A2, al, be, assignment):
-            return False
-        if not translate.general_mp_preserves_top(A2, a, b, assignment):
-            return False
-    return True
 
 
 def test_criterion_4_algebra_suite():

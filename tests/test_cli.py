@@ -97,9 +97,14 @@ def test_size_cap_exit_code(capsys):
 
 
 def test_deep_nesting_is_a_size_cap_not_a_traceback(capsys):
-    code, out, err = run(capsys, "valid", "-V", "p", "(" * 200 + "p" + ")" * 200)
+    code, out, err = run(capsys, "valid", "-V", "p", "(" * 2000 + "p" + ")" * 2000)
     assert code == 3 and out == ""
     assert err.startswith("size cap exceeded") and len(err.strip().splitlines()) == 1
+
+
+def test_moderate_nesting_is_read(capsys):
+    code, out, err = run(capsys, "valid", "-V", "p", "(" * 200 + "p" + ")" * 200)
+    assert code == 1 and out.strip() == "false" and err == ""
 
 
 def _kp_script(tmp_path):

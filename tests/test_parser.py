@@ -3,18 +3,24 @@ import random
 import pytest
 
 from inqmt import corpus
+from inqmt import metavars as mv
+from inqmt.derivations import corpus_derivations
 from inqmt.errors import MixedSortError, ParseError
 from inqmt.formulas import (
+    Down,
+    FImp,
+    FVar,
     IAnd,
     IImp,
     IOr,
     IVar,
     IZERO,
-    print_flat,
-    print_general,
-    print_inql,
+    flat_neg,
+    gen_neg,
 )
 from inqmt.parser import (
+    FLAT,
+    GENERAL,
     derivation_to_sexp,
     parse_derivation,
     parse_flat,
@@ -22,8 +28,9 @@ from inqmt.parser import (
     parse_inql,
     parse_sequent,
     parse_structure,
+    print_term,
 )
-from inqmt.structures import Derivation, Sequent, Sort, print_structure
+from inqmt.structures import Comma, Derivation, FlatFml, GenFml, Semi, Sequent, Sort
 
 from helpers import (
     rand_flat,
@@ -58,7 +65,7 @@ def test_flat_sugar():
 def test_sugar_idempotence():
     for text in ["?p \\/ ~q", "~~p", "=(p,q)"]:
         once = parse_inql(text)
-        again = parse_inql(print_inql(once))
+        again = parse_inql(print_term(once))
         assert once == again
 
 
@@ -86,8 +93,8 @@ def test_sequent_examples():
 def test_sequent_accepts_iff_sorts_agree():
     rng = random.Random(4)
     for _ in range(60):
-        flat = print_structure(rand_flat_structure(rng, 2))
-        gen = print_structure(rand_general_structure(rng, 2))
+        flat = print_term(rand_flat_structure(rng, 2))
+        gen = print_term(rand_general_structure(rng, 2))
         assert parse_sequent(f"{flat} |- {flat}").sort is Sort.FLAT
         assert parse_sequent(f"{gen} |- {gen}").sort is Sort.GENERAL
         with pytest.raises(MixedSortError):
@@ -100,20 +107,20 @@ def test_roundtrip_formulas():
     rng = random.Random(1)
     for _ in range(300):
         phi = rand_inql(rng, 4)
-        assert parse_inql(print_inql(phi)) == phi
+        assert parse_inql(print_term(phi)) == phi
         alpha = rand_flat(rng, 4)
-        assert parse_flat(print_flat(alpha)) == alpha
+        assert parse_flat(print_term(alpha)) == alpha
         a = rand_general(rng, 3)
-        assert parse_general(print_general(a)) == a
+        assert parse_general(print_term(a)) == a
 
 
 def test_roundtrip_structures():
     rng = random.Random(2)
     for _ in range(300):
         s = rand_flat_structure(rng, 3)
-        assert parse_structure(print_structure(s)) == s
+        assert parse_structure(print_term(s)) == s
         g = rand_general_structure(rng, 3)
-        assert parse_structure(print_structure(g)) == g
+        assert parse_structure(print_term(g)) == g
 
 
 def test_roundtrip_sequents_and_scripts():
@@ -145,3 +152,50 @@ def test_reserved_words_rejected_as_variables():
         parse_inql("dn")
     with pytest.raises(ParseError):
         parse_flat("neg")
+
+
+def test_corpus_files_are_the_builders_output():
+    built = corpus_derivations()
+    assert sorted(built) == sorted(corpus.names())
+    for name, d in built.items():
+        assert corpus.text(name) == derivation_to_sexp(d), name
+
+
+def test_side_sort_is_read_through_parentheses():
+    s = parse_sequent("((dn(p))) |- dn(p)")
+    assert s.sort is Sort.GENERAL
+    assert s.antecedent == s.succedent == GenFml(Down(FVar("p")))
+    s = parse_sequent("((p , q)) |- p")
+    assert s.sort is Sort.FLAT
+    assert s.antecedent == Comma(FlatFml(FVar("p")), FlatFml(FVar("q")))
+    with pytest.raises(MixedSortError):
+        parse_sequent("((p)) |- ((dn(p)))")
+
+
+def test_leading_tokens_name_one_sort():
+    def leads(g):
+        return {*g.atoms, *g.wrappers, *g.prefix, *g.metas}
+
+    assert not leads(FLAT) & leads(GENERAL)
+
+
+def test_formulas_bind_tighter_than_structure_operators():
+    a, b, c = FVar("a"), FVar("b"), FVar("c")
+    assert parse_structure("a ~> b , c") == Comma(FlatFml(FImp(a, b)), FlatFml(c))
+
+
+def test_sugar_inside_structures():
+    assert parse_structure("~p , q") == Comma(FlatFml(flat_neg(FVar("p"))), FlatFml(FVar("q")))
+    assert parse_structure("neg A ; X", pattern_mode=True) == Semi(
+        GenFml(gen_neg(mv.FMetaG("A"))), mv.SMetaG("X")
+    )
+
+
+def test_formula_connective_on_a_structure_is_an_error():
+    for text, pos in (("Ph & p", 3), ("(p , q) & r", 8)):
+        with pytest.raises(ParseError) as e:
+            parse_structure(text)
+        assert e.value.pos == pos
+    with pytest.raises(ParseError) as e:
+        parse_sequent("p |- Ph & p")
+    assert e.value.pos == 8

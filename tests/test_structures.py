@@ -6,6 +6,7 @@ from inqmt.errors import MixedSortError
 from inqmt.formulas import Cap, FVar
 from inqmt.parser import parse_sequent, parse_structure
 from inqmt.structures import (
+    PHI,
     Comma,
     Derivation,
     FlatFml,
@@ -34,6 +35,27 @@ def test_paths_address_every_occurrence():
     assert found[("suc", 0, 0)] == parse_structure("0")
     for path, sub in found.items():
         assert structure_at(seq, path) == sub
+
+
+def test_paths_are_in_preorder():
+    seq = parse_sequent("(p , q) |> r |- F(Dn(0))")
+    assert [path for path, _ in iter_paths(seq)] == [
+        ("ant",), ("ant", 0), ("ant", 0, 0), ("ant", 0, 1), ("ant", 1),
+        ("suc",), ("suc", 0), ("suc", 0, 0),
+    ]
+
+
+def test_paths_of_a_deep_chain():
+    s = FlatFml(FVar("p"))
+    for _ in range(5000):
+        s = Comma(s, FlatFml(FVar("q")))
+    count, deepest = 0, ()
+    for path, _ in iter_paths(Sequent(s, PHI)):
+        count += 1
+        if len(path) > len(deepest):
+            deepest = path
+    assert count == 2 * 5000 + 2
+    assert deepest == ("ant",) + (0,) * 5000
 
 
 def test_replace_at_round_trips():
@@ -75,3 +97,11 @@ def test_derivation_tree_utilities():
     swapped = tree.replace((1,), other)
     assert swapped.premises[1] == other and swapped.premises[0] == leaf
     assert tree.variables() == {"p", "q"}
+
+
+def test_nodes_of_a_deep_derivation():
+    seq = parse_sequent("p |- p")
+    d = Derivation(seq, "Id")
+    for _ in range(4999):
+        d = Derivation(seq, "W", (d,))
+    assert [len(addr) for addr, _ in d.nodes()] == list(range(5000))
