@@ -36,21 +36,15 @@ from . import metavars as mv
 from .algebra import TeamAlgebra, for_context
 from .contexts import Context
 from .denote import Compiler, Machine, Polarity, bind, denote
-from .formulas import Cap, Down, FImp, FVar, FlatFormula, GAnd, GeneralFormula, GImp, GOr
+from .formulas import FVar, FlatFormula, GeneralFormula, subterms
 from .rules import FAMILIES, RuleSchema, pseq, rule_table
 from .structures import (
-    Comma,
     Derivation,
-    DownOf,
-    FOf,
-    FStarOf,
     FlatFml,
     FlatStructure,
-    GenFml,
     GeneralStructure,
     Gt,
     Path,
-    Semi,
     Sequent,
     Sort,
     Sup,
@@ -60,7 +54,6 @@ from .structures import (
     replace_at,
     side_structure,
     structure_at,
-    term_is_covered,
 )
 
 
@@ -96,33 +89,29 @@ _META_RANGE = {
     mv.SMetaF: FlatStructure,
     mv.SMetaG: GeneralStructure,
 }
-_BINARY = (Cap, FImp, GAnd, GOr, GImp, Comma, Sup, Semi, Gt)
-
-
-def _match(pat, val, bnd) -> bool:
-    """Match a pattern formula or structure against a term, binding each
-    metavariable to the non-meta term it covers; a metavariable met again
-    must cover an equal term."""
-    allowed = _META_RANGE.get(type(pat))
-    if allowed is not None:
-        if not isinstance(val, allowed) or mv.is_meta(val):
-            return False
-        return bnd.setdefault(pat, val) == val
-    if type(pat) is not type(val):
-        return False
-    if isinstance(pat, _BINARY):
-        return _match(pat.left, val.left, bnd) and _match(pat.right, val.right, bnd)
-    if isinstance(pat, (FlatFml, GenFml)):
-        return _match(pat.formula, val.formula, bnd)
-    if isinstance(pat, (Down, FOf, DownOf, FStarOf)):
-        return _match(pat.body, val.body, bnd)
-    return pat == val  # variables, 0, Ph
 
 
 def _match_sequent(pat: Sequent, val: Sequent, bnd) -> bool:
-    return _match(pat.antecedent, val.antecedent, bnd) and _match(
-        pat.succedent, val.succedent, bnd
-    )
+    """Match a pattern sequent against a sequent, binding each
+    metavariable to the non-meta term it covers; a metavariable met again
+    must cover the same term.  An explicit stack of (pattern, term) pairs,
+    the antecedent first and left parts first."""
+    todo = [(pat.succedent, val.succedent), (pat.antecedent, val.antecedent)]
+    while todo:
+        pat, val = todo.pop()
+        allowed = _META_RANGE.get(type(pat))
+        if allowed is not None:
+            if not isinstance(val, allowed) or mv.is_meta(val):
+                return False
+            if bnd.setdefault(pat, val) is not val:
+                return False
+        elif type(pat) is not type(val):
+            return False
+        elif pat.parts:
+            todo.extend(zip(reversed(pat.parts), reversed(val.parts)))
+        elif pat is not val:  # variables, 0, Ph
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -245,15 +234,15 @@ def _check_node(node: Derivation) -> tuple[Optional[MatchBinding], str, str]:
 
 
 def _c1_lint(node: Derivation, m: MatchBinding) -> str | None:
-    conclusion_terms = operational_terms(node.conclusion)
-    extra = m.cut_formula
+    """Every operational term of a premise must be a subterm of the
+    conclusion (crossing into Flat through dn) or of the cut formula."""
+    seq = node.conclusion
+    extra = () if m.cut_formula is None else (m.cut_formula,)
+    covered = set(subterms(seq.antecedent, seq.succedent, *extra))
     for p in node.premises:
         for t in operational_terms(p.conclusion):
-            if term_is_covered(t, conclusion_terms):
-                continue
-            if extra is not None and term_is_covered(t, [extra]):
-                continue
-            return f"operational term {t} of a premise is not preserved (C1)"
+            if t not in covered:
+                return f"operational term {t} of a premise is not preserved (C1)"
     return None
 
 

@@ -275,7 +275,8 @@ def main(argv=None) -> int:
         print(f"size cap exceeded: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the parser and the tree walks recurse once per level of nesting
+        # a safety net: the derivation-script reader and the reference
+        # support evaluator behind eval still recurse once per level
         print(
             "size cap exceeded: input nests deeper than the recursion limit "
             f"({sys.getrecursionlimit()} frames) allows",

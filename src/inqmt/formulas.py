@@ -1,66 +1,165 @@
-"""Formula ASTs for the three sorts used throughout the package.
+"""The interned term layer, and formula ASTs for the three sorts.
+
+Every formula, structure and metavariable is a ``Term``: an immutable
+node whose fields are its constructor arguments.  Terms are hash-consed
+(Filliatre & Conchon, "Type-safe modular hash-consing", 2006): building
+a term returns the one live object with that class and those fields, so
+equal terms are the same object, ``==`` is identity and hashing costs
+O(1) at any depth.  The table holds its terms weakly, so a term nobody
+holds leaves it.  Terms are safe to share between concurrent readers.
+
+Trees are read through two explicit-stack walks, so no depth of nesting
+costs interpreter frames: ``subterms`` yields every distinct subterm
+once, parents first, and ``fold`` computes a value bottom-up from the
+values of each node's parts.
 
 InqL formulas are the source language: a classical core (variables, 0,
 conjunction, implication) extended with inquisitive disjunction.  The
 classical layer is not a separate AST sort; it is recoverable through
 ``is_classical``.  Flat and General formulas form the two-sorted target
-language, where every General leaf wraps a Flat formula.
-
-All nodes are frozen dataclasses: formulas compare and hash structurally
-and are safe to share between concurrent readers.  Negation-style sugar
-is expanded by the constructors below (and by the parser), never stored;
-the parser module prints every sort.
+language, where every General leaf wraps a Flat formula.  Negation-style
+sugar is expanded by the constructors below (and by the parser), never
+stored; the parser module prints every sort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
+from weakref import ref
+
+from _weakref import _remove_dead_weakref  # the dict step of WeakValueDictionary
+
+# (class, fields) -> a weak reference to the live term with those fields.
+# Every change to it is one dict operation, atomic under the interpreter
+# lock, so threads may build terms concurrently.
+_TABLE: dict = {}
 
 
-def term_text(term) -> str:
-    """The printed form of a formula or structure (the __str__ of both)."""
-    from .parser import print_term  # deferred: the parser imports this module
+class _Entry(ref):
+    """A table entry: a weak reference to a term that knows its key."""
 
-    return print_term(term)
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry):
+    """Drop a dead term's entry, unless a live term already took its key."""
+    _remove_dead_weakref(_TABLE, entry.key)
+
+
+class Term:
+    """An interned node.  A subclass lists its fields in __slots__; every
+    field holds a term, except the single name field of a named leaf
+    (variables and metavariables).  ``parts`` is the tuple of a node's
+    term fields, in order."""
+
+    __slots__ = ("parts", "__weakref__")
+
+    def __new__(cls, *args):
+        key = (cls, args)
+        entry = _TABLE.get(key)
+        if entry is not None:
+            term = entry()
+            if term is not None:
+                return term
+        fields = cls.__slots__
+        if len(args) != len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        term = object.__new__(cls)
+        for name, value in zip(fields, args):
+            object.__setattr__(term, name, value)
+        object.__setattr__(term, "parts", () if fields == ("name",) else args)
+        new = _Entry(term, _forget)
+        new.key = key
+        term = _TABLE.setdefault(key, new)()
+        if term is not None:  # ours, or one another thread built meanwhile
+            return term
+        _remove_dead_weakref(_TABLE, key)  # a dead term whose entry is still to go
+        return cls(*args)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign or delete {name!r} of an interned term")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __str__(self) -> str:
+        from .parser import print_term  # deferred: the parser imports this module
+
+        return print_term(self)
+
+
+def subterms(*roots: Term):
+    """Every distinct subterm of the roots, each once, in pre-order: a
+    node before its parts, parts left to right, the roots in order.  It
+    crosses from General into Flat through dn."""
+    seen = set()
+    todo = list(reversed(roots))
+    while todo:
+        t = todo.pop()
+        if t not in seen:
+            seen.add(t)
+            yield t
+            todo.extend(reversed(t.parts))
+
+
+def fold(root: Term, visit):
+    """visit(t, done) at every distinct subterm t of root, parts before
+    their node and the left before the right, done mapping every subterm
+    visited so far (t's parts among them) to its value.  Returns the
+    value at root."""
+    done: dict = {}
+    todo: list = [root]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:  # (node,): its parts are done
+            t = t[0]
+            done[t] = visit(t, done)
+        elif t not in done:
+            todo.append((t,))
+            todo.extend(reversed(t.parts))
+    return done[root]
+
+
+def variables(*roots: Term) -> frozenset[str]:
+    """The propositional variables occurring in the roots."""
+    return frozenset(t.name for t in subterms(*roots) if type(t) in (IVar, FVar))
+
+
+def formula_size(f: Term) -> int:
+    """Node count; Down counts as one node above its Flat body."""
+    return fold(f, lambda t, done: 1 + sum(done[k] for k in t.parts))
 
 
 # ---------------------------------------------------------------------------
 # InqL formulas
 
 
-@dataclass(frozen=True)
-class InqFormula:
-    __str__ = term_text
+class InqFormula(Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IVar(InqFormula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class IZero(InqFormula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IAnd(InqFormula):
-    left: InqFormula
-    right: InqFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class IImp(InqFormula):
-    left: InqFormula
-    right: InqFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class IOr(InqFormula):
-    left: InqFormula
-    right: InqFormula
+    __slots__ = ("left", "right")
 
 
 IZERO = IZero()
@@ -90,52 +189,33 @@ def inq_dependence(determiners: Iterable[InqFormula], determined: InqFormula) ->
 
 def is_classical(phi: InqFormula) -> bool:
     """True iff no inquisitive disjunction occurs anywhere in the formula."""
-    if isinstance(phi, (IVar, IZero)):
-        return True
-    if isinstance(phi, (IAnd, IImp)):
-        return is_classical(phi.left) and is_classical(phi.right)
-    if isinstance(phi, IOr):
-        return False
-    raise TypeError(f"not an InqL formula: {phi!r}")
-
-
-def inq_variables(phi: InqFormula) -> frozenset[str]:
-    if isinstance(phi, IVar):
-        return frozenset((phi.name,))
-    if isinstance(phi, IZero):
-        return frozenset()
-    return inq_variables(phi.left) | inq_variables(phi.right)
+    if not isinstance(phi, InqFormula):
+        raise TypeError(f"not an InqL formula: {phi!r}")
+    return not any(type(t) is IOr for t in subterms(phi))
 
 
 # ---------------------------------------------------------------------------
 # Flat formulas
 
 
-@dataclass(frozen=True)
-class FlatFormula:
-    __str__ = term_text
+class FlatFormula(Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FVar(FlatFormula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class FZero(FlatFormula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Cap(FlatFormula):
-    left: FlatFormula
-    right: FlatFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FImp(FlatFormula):
-    left: FlatFormula
-    right: FlatFormula
+    __slots__ = ("left", "right")
 
 
 FZERO = FZero()
@@ -151,44 +231,28 @@ def flat_join(alpha: FlatFormula, beta: FlatFormula) -> FlatFormula:
     return FImp(flat_neg(alpha), beta)
 
 
-def flat_variables(alpha: FlatFormula) -> frozenset[str]:
-    if isinstance(alpha, FVar):
-        return frozenset((alpha.name,))
-    if isinstance(alpha, FZero):
-        return frozenset()
-    return flat_variables(alpha.left) | flat_variables(alpha.right)
-
-
 # ---------------------------------------------------------------------------
 # General formulas
 
 
-@dataclass(frozen=True)
-class GeneralFormula:
-    __str__ = term_text
+class GeneralFormula(Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Down(GeneralFormula):
-    body: FlatFormula
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
 class GAnd(GeneralFormula):
-    left: GeneralFormula
-    right: GeneralFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class GOr(GeneralFormula):
-    left: GeneralFormula
-    right: GeneralFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class GImp(GeneralFormula):
-    left: GeneralFormula
-    right: GeneralFormula
+    __slots__ = ("left", "right")
 
 
 GFALSUM = Down(FZERO)
@@ -197,38 +261,6 @@ GFALSUM = Down(FZERO)
 def gen_neg(a: GeneralFormula) -> GeneralFormula:
     """neg A, stored as A => dn(0)."""
     return GImp(a, GFALSUM)
-
-
-def gen_variables(a: GeneralFormula) -> frozenset[str]:
-    if isinstance(a, Down):
-        return flat_variables(a.body)
-    return gen_variables(a.left) | gen_variables(a.right)
-
-
-Formula = InqFormula | FlatFormula | GeneralFormula
-
-
-def formula_size(f: Formula) -> int:
-    """Node count; Down counts as one node above its Flat body."""
-    if isinstance(f, (IVar, IZero, FVar, FZero)):
-        return 1
-    if isinstance(f, Down):
-        return 1 + formula_size(f.body)
-    return 1 + formula_size(f.left) + formula_size(f.right)
-
-
-def subformulas(f: Formula):
-    """All subterms of f, crossing from General into Flat through dn."""
-    yield f
-    if isinstance(f, Down):
-        yield from subformulas(f.body)
-    elif isinstance(f, (IAnd, IImp, IOr, Cap, FImp, GAnd, GOr, GImp)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-
-
-def is_subterm(needle: Formula, hay: Formula) -> bool:
-    return any(needle == sub for sub in subformulas(hay))
 
 
 # ---------------------------------------------------------------------------

@@ -13,35 +13,28 @@ table readable as text:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formulas import FlatFormula, GeneralFormula
 from .structures import FlatStructure, GeneralStructure
 
 
-@dataclass(frozen=True)
 class SMetaF(FlatStructure):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class SMetaG(GeneralStructure):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class FMetaF(FlatFormula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class FMetaG(GeneralFormula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class PMeta(FlatFormula):
-    name: str
+    __slots__ = ("name",)
 
 
 FLAT_SMETA_NAMES = frozenset("GDSPL")

@@ -74,18 +74,22 @@ from .structures import (
     Sup,
 )
 
-_TOKEN_RE = re.compile(r"(~>|\|>|\|-|/\\|\\/|->|=>|[&|~?>;,()=]|[A-Za-z][A-Za-z0-9_]*|0)|\S")
+_TOKEN_RE = re.compile(r"\s*(?:(~>|\|>|\|-|/\\|\\/|->|=>|[&|~?>;,()=]|[A-Za-z][A-Za-z0-9_]*|0)|(\S)|\Z)")
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
 _KEYWORDS = frozenset(("Ph", "F", "Fs", "Dn", "dn", "neg"))
 EOF = "<eof>"
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
+def _tokenize(text: str, token_re=_TOKEN_RE, where: str = "") -> list[tuple[str, int]]:
+    """(token, position) pairs and a final EOF, in one pass of a pattern
+    that skips whitespace, then reads a token (group 1), a character no
+    token starts with (group 2) or the end."""
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastindex is None:
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.group(), m.start()))
+    for m in token_re.finditer(text):
+        if m.lastindex == 2:
+            raise ParseError(f"unexpected character {m.group(2)!r}{where}", m.start(2))
+        if m.lastindex == 1:
+            tokens.append((m.group(1), m.start(1)))
     tokens.append((EOF, len(text)))
     return tokens
 
@@ -106,7 +110,7 @@ class Grammar:
     infix: dict  # token -> (binding strength, right-associative, constructor)
     prefix: dict  # token -> constructor; all of them sugar
     atoms: dict  # token -> constant
-    wrappers: dict  # token -> (constructor, reader of the parenthesised body)
+    wrappers: dict  # token -> (constructor, body sort or None for variables, body a formula)
     metas: dict  # token -> metavariable class, in pattern mode
     variable: type | None  # constructor of variables
     formula: type  # base class of the sort's formulas
@@ -125,7 +129,7 @@ INQL = Grammar(
     infix={"->": (1, True, IImp), "\\/": (2, False, IOr), "/\\": (3, False, IAnd)},
     prefix={"~": inq_neg, "?": inq_question},
     atoms={"0": IZERO},
-    wrappers={"=": (_dependence, lambda r: r.variables())},
+    wrappers={"=": (_dependence, None, True)},
     metas={},
     variable=IVar,
     formula=InqFormula,
@@ -142,7 +146,7 @@ FLAT = Grammar(
     },
     prefix={"~": flat_neg},
     atoms={"0": FZERO, "Ph": PHI},
-    wrappers={"F": (FOf, lambda r: r.structure(GENERAL))},
+    wrappers={"F": (FOf, "General", False)},
     metas={
         **dict.fromkeys(mv.PMETA_NAMES, mv.PMeta),
         **dict.fromkeys(mv.FLAT_FMETA_NAMES, mv.FMetaF),
@@ -167,9 +171,9 @@ GENERAL = Grammar(
     prefix={"neg": gen_neg},
     atoms={},
     wrappers={
-        "dn": (Down, lambda r: r.formula(FLAT)),
-        "Dn": (DownOf, lambda r: r.structure(FLAT)),
-        "Fs": (FStarOf, lambda r: r.structure(FLAT)),
+        "dn": (Down, "Flat", True),
+        "Dn": (DownOf, "Flat", False),
+        "Fs": (FStarOf, "Flat", False),
     },
     metas={
         **dict.fromkeys(mv.GEN_FMETA_NAMES, mv.FMetaG),
@@ -182,6 +186,9 @@ GENERAL = Grammar(
     floor=3,
 )
 
+_GRAMMARS = (INQL, FLAT, GENERAL)
+_SORTS = {g.name: g for g in _GRAMMARS}
+_PREFIX = 9  # the strength of a prefix: tighter than every infix row
 # the sort each leading token names; variables lead Flat sides
 _SIDE_SORTS = {
     tok: g for g in (FLAT, GENERAL) for tok in (*g.atoms, *g.wrappers, *g.prefix, *g.metas)
@@ -212,15 +219,9 @@ class _Reader:
             raise ParseError(f"unexpected trailing input {tok!r}", pos)
 
     def whole(self, g: Grammar, formula: bool):
-        t = self.formula(g) if formula else self.structure(g)
+        t = self.read(g, formula)
         self.end()
         return t
-
-    def formula(self, g: Grammar):
-        return self.climb(g, g.floor, g.floor)
-
-    def structure(self, g: Grammar):
-        return self.lifted(g, self.climb(g, 1, 1))
 
     def side(self, stop: str) -> tuple[Structure, Grammar]:
         """A sequent side up to the stop token, in the sort its first token
@@ -232,7 +233,7 @@ class _Reader:
         g = _SIDE_SORTS.get(tok) or (FLAT if _is_variable(tok) else None)
         if g is None:
             raise ParseError(f"expected a structure, found {tok!r}", pos)
-        s = self.structure(g)
+        s = self.read(g, formula=False)
         self.end(stop)
         return s, g
 
@@ -240,55 +241,94 @@ class _Reader:
     def lifted(g: Grammar, t):
         return t if isinstance(t, g.structure) else g.lift(t)
 
-    def climb(self, g: Grammar, min_strength: int, lo: int):
-        """Operators binding at least min_strength.  lo is the weakest
-        operator the context admits: 1 where structures may stand, the
-        sort's floor where only formulas may."""
-        left = self.operand(g, lo)
-        tokens = self.tokens
-        while True:
-            tok, pos = tokens[self.i]
-            row = g.infix.get(tok)
-            if row is None or row[0] < min_strength:
-                return left
-            strength, right, build = row
-            self.i += 1
-            tighter = strength if right else strength + 1
-            if strength < g.floor:
-                rhs = self.climb(g, tighter, 1)
-                left = build(self.lifted(g, left), self.lifted(g, rhs))
-            elif isinstance(left, g.formula):
-                left = build(left, self.climb(g, tighter, g.floor))
-            else:
-                raise ParseError(f"{tok!r} joins {g.name} formulas, not structures", pos)
+    def read(self, g: Grammar, formula: bool):
+        """One formula of g, or one structure of g lifted if it is a
+        formula, by precedence climbing over explicit stacks: nesting costs
+        no interpreter frames.
 
-    def operand(self, g: Grammar, lo: int):
-        tok, pos = self.tokens[self.i]
-        self.i += 1
-        if tok == "(":
-            t = self.climb(g, lo, lo)
-            self.expect(")")
-            return t
-        if tok in g.prefix:
-            return g.prefix[tok](self.operand(g, g.floor))
-        t = None
-        if tok in g.atoms:
-            t = g.atoms[tok]
-        elif tok in g.wrappers:
-            build, read = g.wrappers[tok]
-            self.expect("(")
-            t = build(read(self))
-            self.expect(")")
-        elif self.pattern_mode:
-            if tok in g.metas:
-                t = g.metas[tok](tok)
-        elif g.variable is not None and _is_variable(tok):
-            t = g.variable(tok)
-        formula_only = lo >= g.floor
-        if t is None or (formula_only and not isinstance(t, g.formula)):
-            what = "formula" if formula_only else "structure"
-            raise ParseError(f"expected a {what} in {g.name}, found {tok!r}", pos)
-        return t
+        A group (the whole input, or a parenthesised or wrapped part of
+        it) keeps its grammar, lo, its operands, its pending operators and
+        how it closes.  lo is the weakest operator the group admits: 1
+        where structures may stand, the sort's floor where only formulas
+        may.  An operator first builds the pending ones that bind at least
+        as tightly (more tightly, when it is right-associative); one
+        weaker than lo ends the group.  Prefixes are pending operators
+        binding tighter than any infix one.  An operand is formula-only in
+        a formula-only group and after a prefix or a formula connective.
+        """
+        tokens = self.tokens
+        group = (g, g.floor if formula else 1, [], [], None)
+        groups = [group]
+        while True:
+            g, lo, operands, ops, _ = group
+            tok, pos = tokens[self.i]
+            self.i += 1
+            formula_only = lo >= g.floor or bool(ops) and ops[-1][0] >= g.floor
+            if tok in g.prefix:
+                ops.append((_PREFIX, True, g.prefix[tok]))
+                continue
+            body = None
+            if tok == "(":
+                body, body_formula, build = g, formula_only, None
+            elif tok in g.wrappers:
+                build, sort, body_formula = g.wrappers[tok]
+                self.expect("(")
+                body = _SORTS.get(sort)
+            if body is not None:
+                close = (build, body_formula, formula_only, tok, pos)
+                group = (body, body.floor if body_formula else 1, [], [], close)
+                groups.append(group)
+                continue
+            t = None
+            if tok in g.atoms:
+                t = g.atoms[tok]
+            elif tok in g.wrappers:  # =(...), a list of variables
+                t = build(self.variables())
+                self.expect(")")
+            elif self.pattern_mode:
+                t = g.metas[tok](tok) if tok in g.metas else None
+            elif g.variable is not None and _is_variable(tok):
+                t = g.variable(tok)
+            if t is None or (formula_only and not isinstance(t, g.formula)):
+                what = "formula" if formula_only else "structure"
+                raise ParseError(f"expected a {what} in {g.name}, found {tok!r}", pos)
+            while True:  # t completes an operand of the current group
+                operands.append(t)
+                tok, pos = tokens[self.i]
+                row = g.infix.get(tok)
+                if row is not None and row[0] >= lo:
+                    self._reduce(g, operands, ops, row[0])
+                    if row[0] >= g.floor and not isinstance(operands[-1], g.formula):
+                        raise ParseError(f"{tok!r} joins {g.name} formulas, not structures", pos)
+                    ops.append(row)
+                    self.i += 1
+                    break
+                self._reduce(g, operands, ops, 0)
+                (t,) = operands
+                groups.pop()
+                if group[4] is None:
+                    return t if formula else self.lifted(g, t)
+                self.expect(")")
+                build, body_formula, formula_only, tok, pos = group[4]
+                if build is not None:  # a wrapper, not a parenthesis
+                    t = build(t if body_formula else self.lifted(g, t))
+                group = groups[-1]
+                g, lo, operands, ops, _ = group
+                if formula_only and not isinstance(t, g.formula):
+                    raise ParseError(f"expected a formula in {g.name}, found {tok!r}", pos)
+
+    def _reduce(self, g: Grammar, operands: list, ops: list, strength: int):
+        """Build the pending operators that bind at least as tightly as
+        an operator of this strength (more tightly if it is right-associative)."""
+        while ops and (ops[-1][0] > strength or (ops[-1][0] == strength and not ops[-1][1])):
+            row_strength, _, build = ops.pop()
+            right = operands.pop()
+            if row_strength == _PREFIX:
+                operands.append(build(right))
+            elif row_strength < g.floor:
+                operands.append(build(self.lifted(g, operands.pop()), self.lifted(g, right)))
+            else:
+                operands.append(build(operands.pop(), right))
 
     def variables(self) -> list[str]:
         names = [self.variable()]
@@ -365,7 +405,6 @@ def parse_sequent(text: str, pattern_mode: bool = False) -> Sequent:
 # context is parenthesised; sugar rows, whose constructors are functions,
 # are never printed.
 
-_GRAMMARS = (INQL, FLAT, GENERAL)
 _INFIX_OF = {
     build: (tok, strength, right)
     for g in _GRAMMARS
@@ -376,58 +415,52 @@ _WORD_OF = {type(t): tok for g in _GRAMMARS for tok, t in g.atoms.items()}
 _WRAPPER_OF = {
     build: tok
     for g in _GRAMMARS
-    for tok, (build, _) in g.wrappers.items()
+    for tok, (build, *_) in g.wrappers.items()
     if isinstance(build, type)
 }
 _LIFTS = frozenset(g.lift for g in _GRAMMARS if g.lift is not None)
 
 
-def print_term(t, min_strength: int = 0) -> str:
-    """The text of a formula or structure of any sort."""
-    cls = type(t)
-    row = _INFIX_OF.get(cls)
-    if row is not None:
-        tok, strength, right = row
-        # the operand on the associative side may bind as loosely as the operator
-        left = print_term(t.left, strength + 1 if right else strength)
-        text = f"{left} {tok} {print_term(t.right, strength if right else strength + 1)}"
-        return f"({text})" if strength < min_strength else text
-    if cls in _LIFTS:
-        return print_term(t.formula)
-    if cls in _WRAPPER_OF:
-        return f"{_WRAPPER_OF[cls]}({print_term(t.body)})"
-    if cls in _WORD_OF:
-        return _WORD_OF[cls]
-    name = getattr(t, "name", None)
-    if isinstance(name, str):
-        return name
-    raise TypeError(f"not a formula or structure: {t!r}")
+def print_term(t) -> str:
+    """The text of a formula or structure of any sort.  The walk keeps
+    an explicit stack of terms still to print, each with the weakest
+    operator its context admits unparenthesised, and of literal text."""
+    out: list[str] = []
+    todo: list = [(t, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, min_strength = item
+        cls = type(t)
+        row = _INFIX_OF.get(cls)
+        if row is not None:
+            tok, strength, right = row
+            # the operand on the associative side may bind as loosely as the operator
+            items = [(t.left, strength + 1 if right else strength), f" {tok} "]
+            items.append((t.right, strength if right else strength + 1))
+            todo += reversed(["(", *items, ")"] if strength < min_strength else items)
+        elif cls in _LIFTS:
+            todo.append((t.formula, 0))
+        elif cls in _WRAPPER_OF:
+            todo += (")", (t.body, 0), f"{_WRAPPER_OF[cls]}(")
+        else:  # a constant or a named leaf
+            word = _WORD_OF.get(cls, getattr(t, "name", None))
+            if not isinstance(word, str):
+                raise TypeError(f"not a formula or structure: {t!r}")
+            out.append(word)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # Derivation scripts
 
-_SEXP_TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[A-Za-z][A-Za-z0-9_-]*')
-
-
-def _sexp_tokens(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _SEXP_TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r} in script", i)
-        tokens.append((m.group(), i))
-        i = m.end()
-    tokens.append((EOF, n))
-    return tokens
+_SEXP_TOKEN_RE = re.compile(r'\s*(?:(\(|\)|"[^"]*"|[A-Za-z][A-Za-z0-9_-]*)|(\S)|\Z)')
 
 
 def parse_derivation(text: str) -> Derivation:
-    tokens = _sexp_tokens(text)
+    tokens = _tokenize(text, _SEXP_TOKEN_RE, " in script")
     node, i = _parse_deriv_node(tokens, 0)
     if tokens[i][0] != EOF:
         raise ParseError("unexpected trailing input in script", tokens[i][1])
@@ -467,17 +500,16 @@ def _parse_deriv_node(tokens, i) -> tuple[Derivation, int]:
 
 def derivation_to_sexp(d: Derivation) -> str:
     lines: list[str] = []
-
-    def emit(node: Derivation, depth: int):
-        pad = "  " * depth
-        head = (
-            f'{pad}(rule "{node.rule}" '
+    todo: list = [(d, 0)]  # (node, depth), or (None, 0) where a node closes
+    while todo:
+        node, depth = todo.pop()
+        if node is None:
+            lines[-1] += ")"
+            continue
+        lines.append(
+            f'{"  " * depth}(rule "{node.rule}" '
             f'(seq "{node.conclusion.antecedent}" "{node.conclusion.succedent}")'
         )
-        lines.append(head)
-        for p in node.premises:
-            emit(p, depth + 1)
-        lines[-1] += ")"
-
-    emit(d, 0)
+        todo.append((None, 0))
+        todo.extend((p, depth + 1) for p in reversed(node.premises))
     return "\n".join(lines) + "\n"

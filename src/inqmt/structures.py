@@ -18,14 +18,7 @@ from enum import Enum
 from typing import Iterator, Union
 
 from .errors import MixedSortError
-from .formulas import (
-    FlatFormula,
-    GeneralFormula,
-    flat_variables,
-    gen_variables,
-    is_subterm,
-    term_text,
-)
+from .formulas import FlatFormula, GeneralFormula, Term, subterms
 
 
 class Sort(Enum):
@@ -37,36 +30,28 @@ class Sort(Enum):
 # Flat structures
 
 
-@dataclass(frozen=True)
-class FlatStructure:
-    __str__ = term_text
+class FlatStructure(Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Phi(FlatStructure):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FlatFml(FlatStructure):
-    formula: FlatFormula
+    __slots__ = ("formula",)
 
 
-@dataclass(frozen=True)
 class Comma(FlatStructure):
-    left: FlatStructure
-    right: FlatStructure
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Sup(FlatStructure):
-    left: FlatStructure
-    right: FlatStructure
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FOf(FlatStructure):
-    body: "GeneralStructure"
+    __slots__ = ("body",)  # a General structure
 
 
 PHI = Phi()
@@ -76,39 +61,32 @@ PHI = Phi()
 # General structures
 
 
-@dataclass(frozen=True)
-class GeneralStructure:
-    __str__ = term_text
+class GeneralStructure(Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class DownOf(GeneralStructure):
-    body: FlatStructure
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
 class FStarOf(GeneralStructure):
-    body: FlatStructure
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
 class GenFml(GeneralStructure):
-    formula: GeneralFormula
+    __slots__ = ("formula",)
 
 
-@dataclass(frozen=True)
 class Semi(GeneralStructure):
-    left: GeneralStructure
-    right: GeneralStructure
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Gt(GeneralStructure):
-    left: GeneralStructure
-    right: GeneralStructure
+    __slots__ = ("left", "right")
 
 
 Structure = Union[FlatStructure, GeneralStructure]
+_LIFTS = (FlatFml, GenFml)  # a formula as an atomic structure
 
 
 def structure_sort(s: Structure) -> Sort:
@@ -120,21 +98,24 @@ def structure_sort(s: Structure) -> Sort:
 
 
 def children(s: Structure) -> tuple[Structure, ...]:
-    if isinstance(s, (Comma, Sup, Semi, Gt)):
-        return (s.left, s.right)
-    if isinstance(s, (FOf, DownOf, FStarOf)):
-        return (s.body,)
-    return ()
+    """The parts of a structure that are structures: all of them, except
+    for a formula lifted to an atomic structure, which has none."""
+    return () if type(s) in _LIFTS else s.parts
 
 
-def with_children(s: Structure, kids: tuple[Structure, ...]) -> Structure:
-    if isinstance(s, (Comma, Sup, Semi, Gt)):
-        return type(s)(kids[0], kids[1])
-    if isinstance(s, (FOf, DownOf, FStarOf)):
-        return type(s)(kids[0])
-    if kids:
-        raise ValueError(f"{s!r} has no children")
-    return s
+def _rebuild(root, steps, replacement, kids, remake):
+    """root with the node that the child indices steps lead to replaced:
+    the nodes on the way down are kept on a list and remade bottom-up,
+    remake(node, new kids) building each."""
+    spine = []
+    for i in steps:
+        spine.append(root)
+        root = kids(root)[i]
+    for node, i in zip(reversed(spine), reversed(steps)):
+        new = list(kids(node))
+        new[i] = replacement
+        replacement = remake(node, tuple(new))
+    return replacement
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +156,8 @@ def structure_at(seq: Sequent, path: Path) -> Structure:
 
 
 def replace_at(seq: Sequent, path: Path, replacement: Structure) -> Sequent:
-    def rebuild(s: Structure, steps) -> Structure:
-        if not steps:
-            return replacement
-        kids = list(children(s))
-        kids[steps[0]] = rebuild(kids[steps[0]], steps[1:])
-        return with_children(s, tuple(kids))
-
-    side = rebuild(side_structure(seq, path[0]), path[1:])
+    side = side_structure(seq, path[0])
+    side = _rebuild(side, path[1:], replacement, children, lambda s, kids: type(s)(*kids))
     if path[0] == "ant":
         return Sequent(side, seq.succedent)
     return Sequent(seq.antecedent, side)
@@ -192,7 +167,8 @@ def preorder(root, kids, prefix: tuple = ()) -> Iterator[tuple[tuple, object]]:
     """(address, node) for root and everything below it, parents before
     their children and children in order; an address is prefix followed
     by child indices.  The walk keeps an explicit stack and one mutable
-    address, so a step costs the copy of its address at any depth."""
+    address, but hands out a copy of it at every step, so a step costs
+    O(depth); a walk that needs no address uses formulas.subterms."""
     yield prefix, root
     addr = list(prefix)
     stack = [enumerate(kids(root))]
@@ -216,35 +192,9 @@ def iter_paths(seq: Sequent) -> Iterator[tuple[Path, Structure]]:
 
 
 def operational_terms(seq: Sequent) -> list[FlatFormula | GeneralFormula]:
-    """The formulas embedded in a sequent as atomic structures."""
-    out = []
-    for _, s in iter_paths(seq):
-        if isinstance(s, (FlatFml, GenFml)):
-            out.append(s.formula)
-    return out
-
-
-def term_is_covered(term, conclusion_terms) -> bool:
-    """C1-style check: term is a subterm of some conclusion-side term.
-
-    Flat terms count as subterms of General terms through dn.
-    """
-    return any(is_subterm(term, u) for u in conclusion_terms)
-
-
-def structure_variables(s: Structure) -> frozenset[str]:
-    if isinstance(s, FlatFml):
-        return flat_variables(s.formula)
-    if isinstance(s, GenFml):
-        return gen_variables(s.formula)
-    out: frozenset[str] = frozenset()
-    for kid in children(s):
-        out |= structure_variables(kid)
-    return out
-
-
-def sequent_variables(seq: Sequent) -> frozenset[str]:
-    return structure_variables(seq.antecedent) | structure_variables(seq.succedent)
+    """The distinct formulas embedded in a sequent as atomic structures,
+    in pre-order."""
+    return [t.formula for t in subterms(seq.antecedent, seq.succedent) if type(t) in _LIFTS]
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +219,7 @@ class Derivation:
         return d
 
     def replace(self, addr: tuple[int, ...], sub: "Derivation") -> "Derivation":
-        if not addr:
-            return sub
-        kids = list(self.premises)
-        kids[addr[0]] = kids[addr[0]].replace(addr[1:], sub)
-        return Derivation(self.conclusion, self.rule, tuple(kids), self.active)
-
-    def variables(self) -> frozenset[str]:
-        out = sequent_variables(self.conclusion)
-        for p in self.premises:
-            out |= p.variables()
-        return out
+        return _rebuild(
+            self, addr, sub, lambda d: d.premises,
+            lambda d, kids: Derivation(d.conclusion, d.rule, kids, d.active),
+        )

@@ -27,6 +27,7 @@ from .formulas import (
     IVar,
     IZero,
     InqFormula,
+    fold,
     inq_neg,
     is_classical,
 )
@@ -69,21 +70,19 @@ def support(ctx: Context, team: int, phi: InqFormula) -> bool:
 def support_table(ctx: Context, phi: InqFormula) -> int:
     """Mask over all teams: bit S set iff S |= phi."""
     alg = algebra.for_context(ctx)
+    binary = {IAnd: int.__and__, IOr: int.__or__, IImp: alg.heyting}
 
-    def run(f: InqFormula) -> int:
-        if isinstance(f, IVar):
+    def table(f: InqFormula, done: dict) -> int:
+        cls = type(f)
+        if cls is IVar:
             return alg.downset(ctx.var_team(f.name))
-        if isinstance(f, IZero):
+        if cls is IZero:
             return 1
-        if isinstance(f, IAnd):
-            return run(f.left) & run(f.right)
-        if isinstance(f, IOr):
-            return run(f.left) | run(f.right)
-        if isinstance(f, IImp):
-            return alg.heyting(run(f.left), run(f.right))
-        raise TypeError(f"not an InqL formula: {f!r}")
+        if cls not in binary:
+            raise TypeError(f"not an InqL formula: {f!r}")
+        return binary[cls](done[f.left], done[f.right])
 
-    return run(phi)
+    return fold(phi, table)
 
 
 def support_pointwise(ctx: Context, team: int, phi: InqFormula) -> bool:

@@ -35,25 +35,40 @@ from .formulas import (
     IZero,
     InqFormula,
     flat_neg,
+    fold,
     gen_neg,
     inq_neg,
-    is_classical,
+    subterms,
 )
+
+# the binary InqL connectives and their images
+_TAU_C = {IAnd: Cap, IImp: FImp}
+_TAU_I = {IAnd: GAnd, IImp: GImp, IOr: GOr}
+
+
+def _image(t: InqFormula, done: dict):
+    """The translation at one node, given the images of its parts: the
+    Flat image (tau_c) while the subformula is classical, else the
+    General one, each classical part going under one dn."""
+    cls = type(t)
+    if cls is IVar:
+        return FVar(t.name)
+    if cls is IZero:
+        return FZERO
+    if cls not in _TAU_I:
+        raise TypeError(f"not an InqL formula: {t!r}")
+    left, right = done[t.left], done[t.right]
+    if cls is not IOr and isinstance(left, FlatFormula) and isinstance(right, FlatFormula):
+        return _TAU_C[cls](left, right)
+    return _TAU_I[cls](*[Down(k) if isinstance(k, FlatFormula) else k for k in (left, right)])
 
 
 def tau_c(chi: InqFormula) -> FlatFormula:
     """Translate a classical formula into the Flat sort."""
-    if isinstance(chi, IVar):
-        return FVar(chi.name)
-    if isinstance(chi, IZero):
-        return FZERO
-    if isinstance(chi, IAnd):
-        return Cap(tau_c(chi.left), tau_c(chi.right))
-    if isinstance(chi, IImp):
-        return FImp(tau_c(chi.left), tau_c(chi.right))
-    if isinstance(chi, IOr):
-        raise NotClassicalError(f"tau_c needs a classical formula, got {chi}")
-    raise TypeError(f"not an InqL formula: {chi!r}")
+    for t in subterms(chi):
+        if type(t) is IOr:
+            raise NotClassicalError(f"tau_c needs a classical formula, got {t}")
+    return fold(chi, _image)
 
 
 def tau_i(phi: InqFormula) -> GeneralFormula:
@@ -62,28 +77,26 @@ def tau_i(phi: InqFormula) -> GeneralFormula:
     Maximal classical subformulas go through tau_c under one dn, so the
     result is the smallest General formula the translation tables allow.
     """
-    if is_classical(phi):
-        return Down(tau_c(phi))
-    if isinstance(phi, IAnd):
-        return GAnd(tau_i(phi.left), tau_i(phi.right))
-    if isinstance(phi, IImp):
-        return GImp(tau_i(phi.left), tau_i(phi.right))
-    if isinstance(phi, IOr):
-        return GOr(tau_i(phi.left), tau_i(phi.right))
-    raise TypeError(f"not an InqL formula: {phi!r}")
+    image = fold(phi, _image)
+    return Down(image) if isinstance(image, FlatFormula) else image
+
+
+def _flatten_step(t: InqFormula, done: dict) -> InqFormula:
+    cls = type(t)
+    if cls is IVar or cls is IZero:
+        return t
+    if cls not in _TAU_I:
+        raise TypeError(f"not an InqL formula: {t!r}")
+    left, right = done[t.left], done[t.right]
+    return IImp(inq_neg(left), right) if cls is IOr else cls(left, right)
 
 
 def flatten(phi: InqFormula) -> InqFormula:
     """The classical flattening: rewrite every l \\/ r into ~l -> r, bottom-up."""
-    if isinstance(phi, (IVar, IZero)):
-        return phi
-    if isinstance(phi, IAnd):
-        return IAnd(flatten(phi.left), flatten(phi.right))
-    if isinstance(phi, IImp):
-        return IImp(flatten(phi.left), flatten(phi.right))
-    if isinstance(phi, IOr):
-        return IImp(inq_neg(flatten(phi.left)), flatten(phi.right))
-    raise TypeError(f"not an InqL formula: {phi!r}")
+    return fold(phi, _flatten_step)
+
+
+_COLLAPSE = {GAnd: Cap, GImp: FImp}
 
 
 def collapse_to_flat(a: GeneralFormula) -> FlatFormula | None:
@@ -93,21 +106,18 @@ def collapse_to_flat(a: GeneralFormula) -> FlatFormula | None:
     satisfies dn(alpha) -||- A; conjunction collapses to &, implication
     to ~>.  Returns None when the formula falls outside the fragment.
     """
-    if isinstance(a, Down):
-        return a.body
-    if isinstance(a, GAnd):
-        left, right = collapse_to_flat(a.left), collapse_to_flat(a.right)
-        if left is None or right is None:
+    if not isinstance(a, GeneralFormula):
+        raise TypeError(f"not a General formula: {a!r}")
+
+    def collapse(t, done):
+        if type(t) is Down:
+            return t.body
+        build = _COLLAPSE.get(type(t))  # None at \/ and inside a dn body
+        if build is None or done[t.left] is None or done[t.right] is None:
             return None
-        return Cap(left, right)
-    if isinstance(a, GImp):
-        left, right = collapse_to_flat(a.left), collapse_to_flat(a.right)
-        if left is None or right is None:
-            return None
-        return FImp(left, right)
-    if isinstance(a, GOr):
-        return None
-    raise TypeError(f"not a General formula: {a!r}")
+        return build(done[t.left], done[t.right])
+
+    return fold(a, collapse)
 
 
 # ---------------------------------------------------------------------------

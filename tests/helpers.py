@@ -22,6 +22,7 @@ from inqmt.formulas import (
 )
 from inqmt.structures import (
     Comma,
+    Derivation,
     DownOf,
     FOf,
     FStarOf,
@@ -31,6 +32,7 @@ from inqmt.structures import (
     PHI,
     Phi,
     Semi,
+    Sequent,
     Sup,
 )
 
@@ -86,6 +88,17 @@ def rand_general_structure(rng, depth):
     if k == 3:
         return FStarOf(rand_flat_structure(rng, depth - 1))
     return GenFml(rand_general(rng, 2))
+
+
+def weakening_chain(nodes):
+    """Id p |- p under nodes - 1 left weakenings by q, built in memory."""
+    p, q = FlatFml(FVar("p")), FlatFml(FVar("q"))
+    d = Derivation(Sequent(p, p), "Id")
+    ant = p
+    for _ in range(nodes - 1):
+        ant = Comma(ant, q)
+        d = Derivation(Sequent(ant, p), "W", (d,))
+    return d
 
 
 # ---------------------------------------------------------------------------

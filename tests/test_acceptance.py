@@ -29,7 +29,6 @@ from inqmt.cutelim import (
     cut_sizes,
     find_principal_cuts,
     multiset_decreased,
-    reduce_all,
     reduce_principal_cut,
 )
 from inqmt.derivations import principal_cut_example
@@ -333,33 +332,13 @@ def test_criterion_8_cut_reduction():
         ok &= after.conclusion == before.conclusion
         ok &= multiset_decreased(cut_sizes(before), cut_sizes(after))
 
-    rng = random.Random(43)
-
-    def rand_flat(depth):
-        if depth == 0:
-            return rng.choice([FVar("p"), FVar("q"), FVar("r"), FZero()])
-        return rng.choice((Cap, FImp))(rand_flat(depth - 1), rand_flat(rng.randrange(depth)))
-
-    def rand_gen(depth):
-        if depth == 0:
-            return Down(rand_flat(1))
-        return rng.choice((GAnd, GOr, GImp))(rand_gen(depth - 1), rand_gen(rng.randrange(depth)))
-
-    reduced = 0
-    for i in range(100):
-        formula = rand_flat(2) if i % 2 else rand_gen(1)
-        before = principal_cut_example(formula)
-        after, rep = reduce_all(before, fuel=1)
-        ok &= bool(rep.steps)
-        ok &= check_derivation(after).ok
-        ok &= after.conclusion == before.conclusion
-        ok &= multiset_decreased(cut_sizes(before), cut_sizes(after))
-        reduced += 1
+    # 100 seeded principal cuts, each reduced, re-checked and measured
+    ok &= selftest._reduction_suite(seed=43).ok
     report(
         8,
         "cut reduction",
         bool(ok),
-        f"8 introduction shapes + {reduced} randomized principal cuts, "
+        "8 introduction shapes + 100 randomized principal cuts, "
         "all re-check with preserved endsequents and smaller cut multisets",
     )
 

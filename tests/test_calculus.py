@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from inqmt import corpus, metavars as mv
@@ -20,6 +22,8 @@ from inqmt.formulas import Down, FVar
 from inqmt.parser import parse_sequent, parse_structure
 from inqmt.rules import RuleSchema, lookup, rule_table, schema
 from inqmt.structures import Derivation, FlatFml, Sequent, Sort
+
+from helpers import weakening_chain
 
 P1 = Context.of("p")
 A1 = for_context(P1)
@@ -235,3 +239,13 @@ def test_surgical_cut_respects_polarity():
     assert allowed is not None
     assert allowed.cut_path == ("suc", 0)
     assert allowed.cut_formula == FVar("p")
+
+
+def test_weakening_chain_checks_in_linear_time():
+    # the C1 lint reads one subterm set per node, the matcher compares
+    # bindings by identity: no step grows with the depth of the chain
+    d = weakening_chain(1000)
+    start = time.perf_counter()
+    result = check_derivation(d)
+    assert time.perf_counter() - start < 4
+    assert result.ok and len(result.records) == 1000

@@ -2,6 +2,9 @@ import json
 
 from inqmt import corpus
 from inqmt.cli import main
+from inqmt.parser import derivation_to_sexp
+
+from helpers import weakening_chain
 
 
 def run(capsys, *argv):
@@ -96,8 +99,15 @@ def test_size_cap_exit_code(capsys):
     assert code == 3 and "size cap" in err
 
 
-def test_deep_nesting_is_a_size_cap_not_a_traceback(capsys):
+def test_deep_nesting_is_a_size_cap_not_a_traceback(tmp_path, capsys):
     code, out, err = run(capsys, "valid", "-V", "p", "(" * 2000 + "p" + ")" * 2000)
+    assert code == 1 and out.strip() == "false" and err == ""
+    code, out, err = run(capsys, "valid", "-V", "p", "p -> (" * 10_000 + "p" + ")" * 10_000)
+    assert code == 0 and out.strip() == "true" and err == ""
+    # the derivation-script reader still recurses once per node
+    script = tmp_path / "chain.sexp"
+    script.write_text(derivation_to_sexp(weakening_chain(1000)), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--script", str(script))
     assert code == 3 and out == ""
     assert err.startswith("size cap exceeded") and len(err.strip().splitlines()) == 1
 

@@ -1,12 +1,20 @@
 import random
+import weakref
 
+import pytest
+
+from inqmt import formulas, metavars as mv, teams, translate
+from inqmt.algebra import for_context
+from inqmt.contexts import Context
 from inqmt.formulas import (
+    GFALSUM,
     Cap,
     Down,
     FImp,
     FVar,
     FZERO,
     GAnd,
+    GOr,
     IAnd,
     IImp,
     IOr,
@@ -18,11 +26,14 @@ from inqmt.formulas import (
     inq_neg,
     inq_question,
     is_classical,
-    is_subterm,
-    inq_variables,
+    subterms,
+    variables,
 )
 
-from helpers import rand_inql
+from inqmt.parser import parse_flat, parse_general, parse_inql, parse_structure
+from inqmt.structures import PHI, Comma, DownOf, FlatFml, Semi
+
+from helpers import rand_flat_structure, rand_inql
 
 p, q, r = IVar("p"), IVar("q"), IVar("r")
 
@@ -53,7 +64,7 @@ def test_enumerate_inql_counts():
 
 def test_variables_and_size():
     phi = IImp(IOr(p, q), IAnd(q, IZERO))
-    assert inq_variables(phi) == {"p", "q"}
+    assert variables(phi) == {"p", "q"}
     assert formula_size(phi) == 7
     assert formula_size(Down(Cap(FVar("p"), FZERO))) == 4
 
@@ -61,9 +72,10 @@ def test_variables_and_size():
 def test_subterm_crosses_down():
     a = Cap(FVar("p"), FVar("q"))
     g = GAnd(Down(a), Down(FVar("r")))
-    assert is_subterm(Down(a), g)
-    assert not is_subterm(Down(FVar("q")), g)
-    assert is_subterm(FVar("q"), a)
+    assert Down(a) in subterms(g)
+    assert Down(FVar("q")) not in subterms(g)
+    assert FVar("q") in subterms(a)
+    assert list(subterms(g)) == [g, Down(a), a, FVar("p"), FVar("q"), Down(FVar("r")), FVar("r")]
 
 
 def test_structural_equality_is_hashable():
@@ -80,3 +92,49 @@ def test_printing_is_stable():
     assert str(IImp(p, IImp(q, r))) == "p -> q -> r"
     assert str(IImp(IImp(p, q), r)) == "(p -> q) -> r"
     assert str(Cap(FVar("a1"), FImp(FVar("b"), FZERO))) == "a1 & (b ~> 0)"
+
+
+def test_equal_terms_are_one_object():
+    assert parse_inql("p -> q") is IImp(p, q)
+    assert parse_flat("a & ~b") is Cap(FVar("a"), FImp(FVar("b"), FZERO))
+    assert parse_general("dn(a) \\/ dn(0)") is GOr(Down(FVar("a")), GFALSUM)
+    assert parse_structure("p , Ph") is Comma(FlatFml(FVar("p")), PHI)
+    pattern = Semi(DownOf(mv.SMetaF("G")), mv.SMetaG("X"))
+    assert parse_structure("Dn(G) ; X", pattern_mode=True) is pattern
+    assert mv.FMetaF("a") is not mv.PMeta("a") and IVar("p") is not FVar("p")
+    rng = random.Random(3)
+    for _ in range(50):
+        phi, s = rand_inql(rng, 4), rand_flat_structure(rng, 3)
+        assert parse_inql(str(phi)) is phi and parse_structure(str(s)) is s
+
+
+def test_terms_refuse_attribute_assignment():
+    t = Cap(FVar("p"), FZERO)
+    with pytest.raises(AttributeError):
+        t.left = FVar("q")
+    with pytest.raises(AttributeError):
+        del t.right
+    with pytest.raises(AttributeError):
+        FVar("p").name = "q"
+    assert t.left is FVar("p") and FVar("p").name == "p"
+
+
+def test_dropped_term_leaves_the_table():
+    before = len(formulas._TABLE)
+    t = IAnd(IVar("fresh_a"), IVar("fresh_b"))
+    assert len(formulas._TABLE) == before + 3
+    probe = weakref.ref(t)
+    del t
+    assert probe() is None and len(formulas._TABLE) == before
+
+
+def test_deep_implication_without_recursion():
+    n = 10_000
+    phi = parse_inql("p -> (" * n + "p" + ")" * n)
+    assert formula_size(phi) == 2 * n + 1 and hash(phi) == hash(IImp(p, phi.right))
+    text = str(phi)
+    assert text == " -> ".join(["p"] * (n + 1)) and parse_inql(text) is phi
+    ctx = Context.of("p")
+    assert teams.valid(ctx, phi)
+    alg = for_context(ctx)
+    assert alg.denote_general(translate.tau_i(phi), alg.canonical_assignment()) == alg.full

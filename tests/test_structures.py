@@ -3,7 +3,7 @@ import random
 import pytest
 
 from inqmt.errors import MixedSortError
-from inqmt.formulas import Cap, FVar
+from inqmt.formulas import Cap, FVar, subterms, variables
 from inqmt.parser import parse_sequent, parse_structure
 from inqmt.structures import (
     PHI,
@@ -14,9 +14,7 @@ from inqmt.structures import (
     iter_paths,
     operational_terms,
     replace_at,
-    sequent_variables,
     structure_at,
-    term_is_covered,
 )
 
 from helpers import rand_flat_structure
@@ -75,13 +73,14 @@ def test_operational_terms_and_coverage():
     terms = operational_terms(seq)
     assert Cap(FVar("p"), FVar("q")) in terms and FVar("r") in terms
     concl = operational_terms(parse_sequent("dn(p & q) |- dn(p)"))
-    assert term_is_covered(Cap(FVar("p"), FVar("q")), concl)
-    assert term_is_covered(FVar("q"), concl)
-    assert not term_is_covered(FVar("zz"), concl)
+    covered = set(subterms(*concl))
+    assert Cap(FVar("p"), FVar("q")) in covered and FVar("q") in covered
+    assert FVar("zz") not in covered
 
 
 def test_sequent_variables():
-    assert sequent_variables(parse_sequent("p & q |- r ~> 0")) == {"p", "q", "r"}
+    seq = parse_sequent("p & q |- r ~> 0")
+    assert variables(seq.antecedent, seq.succedent) == {"p", "q", "r"}
 
 
 def test_derivation_tree_utilities():
@@ -96,7 +95,8 @@ def test_derivation_tree_utilities():
     other = Derivation(parse_sequent("p |- p"), "Id")
     swapped = tree.replace((1,), other)
     assert swapped.premises[1] == other and swapped.premises[0] == leaf
-    assert tree.variables() == {"p", "q"}
+    sides = [s for _, n in tree.nodes() for s in (n.conclusion.antecedent, n.conclusion.succedent)]
+    assert variables(*sides) == {"p", "q"}
 
 
 def test_nodes_of_a_deep_derivation():
