@@ -18,25 +18,33 @@ small, sampled otherwise) and demanding that premise inclusions imply
 the conclusion inclusion.  A node that checks no assignment fails the
 audit as unchecked.
 
-Every denotation comes from the one compiler in the denote module: the
-premises and conclusion of a node become one straight-line program,
-compiled once and run once per assignment; schema soundness compiles the
+Every denotation comes from the one compiler in the denote module.  The
+exhaustive nodes of a derivation are grouped by their variables; each
+group's distinct sequents (a premise of one node is the conclusion of
+another) become one program with shared slots, and one staged search
+over the group's assignments (Machine.search) settles every node of the
+group, each with the count and the first violation, in product order,
+that a node-by-node loop would report.  Sampled nodes run their own
+program once per drawn assignment.  Schema soundness searches the
 pattern sequents of a schema the same way, with its metavariables as
-the inputs.  denote_structure and sequent_holds are thin wrappers.
+the inputs, both directions of a double-line schema at once; the
+surgical cut is searched per consumer context, as an instance whose
+premises are the provider and the consumer with the cut formula in the
+hole, and whose conclusion is the consumer with the provider's
+antecedent there.  denote_structure and sequent_holds are thin wrappers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 from . import metavars as mv
 from .algebra import TeamAlgebra, for_context
 from .contexts import Context
 from .denote import Compiler, Machine, Polarity, bind, denote
-from .formulas import FVar, FlatFormula, GeneralFormula, subterms
+from .formulas import FVar, FlatFormula, GeneralFormula, subterms, variables
 from .rules import FAMILIES, RuleSchema, pseq, rule_table
 from .structures import (
     Derivation,
@@ -282,12 +290,12 @@ def sequent_holds(seq: Sequent, alg: TeamAlgebra, assignment: dict) -> bool:
     return not Machine(alg).fails(prog, bind(prog, assignment))
 
 
-def _compile_instance(top: int, premises, conclusion) -> Compiler:
-    """One program for a rule instance: its premises, then its conclusion."""
+def _compile_sequents(top: int, sequents) -> Compiler:
+    """One program with a root per sequent, in order."""
     compiler = Compiler(top)
-    for p in premises:
-        compiler.add_sequent(p)
-    return compiler.add_sequent(conclusion)
+    for seq in sequents:
+        compiler.add_sequent(seq)
+    return compiler
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +309,16 @@ class AuditViolation:
     assignment: dict[str, int]
 
 
+@dataclass(frozen=True)
+class AuditNode:
+    """What the audit covered at one node."""
+
+    addr: tuple[int, ...]
+    rule: str
+    assignments: int
+    sampled: bool
+
+
 @dataclass
 class AuditReport:
     violations: list[AuditViolation] = field(default_factory=list)
@@ -308,6 +326,8 @@ class AuditReport:
     assignments_checked: int = 0
     sampled_nodes: int = 0
     unchecked_nodes: int = 0  # nodes under which no assignment was checked
+    nodes: list[AuditNode] = field(default_factory=list)
+    seed: int = 0
 
     @property
     def ok(self) -> bool:
@@ -325,35 +345,57 @@ def audit_soundness(
     variables: whenever all premise inclusions hold, the conclusion
     inclusion must hold.  Exhaustive when the assignment space fits under
     max_exhaustive, otherwise sampled.  A node that checks no assignment
-    (samples=0) counts as unchecked and fails the report."""
+    (samples=0) counts as unchecked and fails the report.
+
+    The exhaustive nodes that share a variable set are searched together
+    (Machine.search), in product order; each sampled node draws its own
+    assignments from one generator seeded by seed, in node order."""
     alg = for_context(ctx)
-    fails = Machine(alg).fails
+    machine = Machine(alg)
     rng = random.Random(seed)
-    report = AuditReport()
     teams = range(ctx.n_teams)
-    for addr, node in d.nodes():
-        compiler = _compile_instance(
-            alg.full_team, [p.conclusion for p in node.premises], node.conclusion
-        )
-        names = sorted(compiler.leaf_keys)
-        prog = compiler.program(names)
+    nodes = []
+    groups: dict = {}  # variables -> the indices of the exhaustive nodes over them
+    for i, (addr, node) in enumerate(d.nodes()):
+        seqs = (*(p.conclusion for p in node.premises), node.conclusion)
+        sides = [t for seq in seqs for t in (seq.antecedent, seq.succedent)]
+        names = tuple(sorted(variables(*sides)))
+        nodes.append((addr, node, seqs, names))
         if ctx.n_teams ** len(names) <= max_exhaustive:
-            assignments = product(teams, repeat=len(names))
-        else:
+            groups.setdefault(names, []).append(i)
+    outcome = {}  # exhaustive node index -> (checked, values at the first failure)
+    for names, members in groups.items():
+        # the group's distinct sequents compiled once, one instance per node
+        roots: dict = {}
+        for i in members:
+            for seq in nodes[i][2]:
+                roots.setdefault(seq, len(roots))
+        instances = [tuple(roots[seq] for seq in nodes[i][2]) for i in members]
+        prog = _compile_sequents(alg.full_team, roots).program(names)
+        found = machine.search(prog, [teams] * len(names), instances)
+        outcome.update(zip(members, found))
+    report = AuditReport(seed=seed)
+    for i, (addr, node, seqs, names) in enumerate(nodes):
+        sampled = i not in outcome
+        if sampled:
+            prog = _compile_sequents(alg.full_team, seqs).program(names)
+            checked, values = 0, None
+            for _ in range(samples):
+                draw = tuple(rng.randrange(ctx.n_teams) for _ in names)
+                checked += 1
+                if machine.fails(prog, draw):
+                    values = draw
+                    break
             report.sampled_nodes += 1
-            assignments = (
-                tuple(rng.randrange(ctx.n_teams) for _ in names) for _ in range(samples)
-            )
+        else:
+            checked, values = outcome[i]
         report.nodes_checked += 1
-        checked = 0
-        for values in assignments:
-            checked += 1
-            if fails(prog, values):
-                report.violations.append(AuditViolation(addr, node.rule, dict(zip(names, values))))
-                break
         report.assignments_checked += checked
+        if values is not None:
+            report.violations.append(AuditViolation(addr, node.rule, dict(zip(names, values))))
         if not checked:
             report.unchecked_nodes += 1
+        report.nodes.append(AuditNode(addr, node.rule, checked, sampled))
     return report
 
 
@@ -363,7 +405,7 @@ def audit_soundness(
 
 def _meta_polarities(schema: RuleSchema) -> dict:
     """Polarity set of every metavariable occurrence across the schema."""
-    return _compile_instance(0, schema.premises, schema.conclusion).polarities
+    return _compile_sequents(0, (*schema.premises, schema.conclusion)).polarities
 
 
 def _meta_domains(pols: dict, alg: TeamAlgebra, downsets) -> list[tuple]:
@@ -408,55 +450,55 @@ _CUT_CONTEXTS = (
 
 def schema_soundness_counterexample(schema: RuleSchema, ctx: Context):
     """Exhaustively search metavariable denotations for a failing
-    instantiation; None when the schema is sound on the context."""
+    instantiation; None when the schema is sound on the context.  A
+    double-line schema is searched in both directions at once, and the
+    forward direction's witness comes first."""
     alg = for_context(ctx)
     downsets = alg.all_downsets()
-    fails = Machine(alg).fails
+    search = Machine(alg).search
     if schema.surgical:
-        return _surgical_counterexample(alg, fails, downsets)
-    forward = _compile_instance(alg.full_team, schema.premises, schema.conclusion)
-    directions = [forward]
+        return _surgical_counterexample(alg, search, downsets)
+    compiler = _compile_sequents(alg.full_team, (*schema.premises, schema.conclusion))
+    k = len(schema.premises)
+    instances = [tuple(range(k + 1))]
     if schema.bidirectional:
-        directions.append(
-            _compile_instance(alg.full_team, (schema.conclusion,), schema.premises[0])
-        )
-    domains = _meta_domains(forward.polarities, alg, downsets)
+        instances.append((k, 0))
+    domains = _meta_domains(compiler.polarities, alg, downsets)
     metas = [m for m, _ in domains]
-    for compiler in directions:
-        prog = compiler.program(metas)
-        for values in product(*(dom for _, dom in domains)):
-            if fails(prog, values):
-                return {m.name: v for m, v in zip(metas, values)}
+    found = search(compiler.program(metas), [dom for _, dom in domains], instances)
+    for _, values in found:
+        if values is not None:
+            return {m.name: v for m, v in zip(metas, values)}
     return None
 
 
-def _surgical_counterexample(alg: TeamAlgebra, fails, downsets):
-    hole = mv.FMetaF("a")
+def _surgical_counterexample(alg: TeamAlgebra, search, downsets):
+    """Per consumer context, the first gamma, alpha and context values,
+    in that order, where the provider G |- a holds, the consumer holds
+    with a in the hole and fails with G there."""
+    alpha, gamma = mv.FMetaF("a"), mv.SMetaF("G")
+    hole = FlatFml(alpha)
     teams = tuple(alg.all_teams())
     for text in _CUT_CONTEXTS:
-        compiler = Compiler(alg.full_team).add_sequent(pseq(text))
-        others = [m for m in compiler.leaf_keys if m != hole]
-        prog = compiler.program([hole, *others])
+        consumer = pseq(text)
+        path = next(p for p, s in iter_paths(consumer) if s is hole)
+        compiler = Compiler(alg.full_team).add_sequent(pseq("G |- a")).add_sequent(consumer)
+        compiler.add_sequent(replace_at(consumer, path, gamma))
+        others = compiler.leaf_keys[2:]
         domains = [
             teams if isinstance(m, (mv.SMetaF, mv.FMetaF, mv.PMeta)) else downsets
             for m in others
         ]
-        for gamma_val in teams:
-            for alpha_val in teams:
-                if gamma_val & ~alpha_val:
-                    continue  # provider premise fails
-                for values in product(*domains):
-                    # the consumer holds with the cut formula in the hole
-                    # and fails with the provider's antecedent there
-                    if not fails(prog, (alpha_val, *values)) and fails(
-                        prog, (gamma_val, *values)
-                    ):
-                        return {
-                            "context": text,
-                            "gamma": gamma_val,
-                            "alpha": alpha_val,
-                            **{m.name: v for m, v in zip(others, values)},
-                        }
+        prog = compiler.program([gamma, alpha, *others])
+        [(_, values)] = search(prog, [teams, teams, *domains], [(0, 1, 2)])
+        if values is not None:
+            gamma_val, alpha_val, *rest = values
+            return {
+                "context": text,
+                "gamma": gamma_val,
+                "alpha": alpha_val,
+                **{m.name: v for m, v in zip(others, rest)},
+            }
     return None
 
 

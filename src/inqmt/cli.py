@@ -133,6 +133,12 @@ def cmd_audit(args) -> int:
         "assignments_checked": report.assignments_checked,
         "sampled_nodes": report.sampled_nodes,
         "unchecked_nodes": report.unchecked_nodes,
+        "seed": report.seed,
+        "nodes": [
+            {"addr": list(n.addr), "rule": n.rule, "assignments": n.assignments,
+             "coverage": "sampled" if n.sampled else "exhaustive"}
+            for n in report.nodes
+        ],
         "violations": [
             {"addr": list(v.addr), "rule": v.rule,
              "assignment": {k: ctx.team_to_spec(t) for k, t in v.assignment.items()}}

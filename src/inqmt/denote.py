@@ -1,15 +1,16 @@
 """The one denotation compiler of the package.
 
 Every denotation runs through here: Flat and General formulas, structures
-at a polarity, the sequents of a derivation node and the pattern
-sequents of the rule table.  ``Compiler`` turns a list of roots (terms
-or sequents) into a ``Program``, a straight-line list of operations over
-numbered slots.  Slots are shared by value numbering: an operation is
-keyed by its opcode and the slots of its operands, so a subterm that
-occurs in several roots, read at the same polarity, is computed once per
-assignment.  Leaves are propositional variables (keyed by name) and
-metavariables (keyed by themselves); they take the first slots, in an
-order the caller chooses, and the constants follow them.
+at a polarity, the sequents of derivation nodes and the pattern sequents
+of the rule table.  ``Compiler`` turns a list of roots (terms or
+sequents) into a ``Program``, a straight-line list of operations over
+numbered slots, each writing its own slot.  Slots are shared by value
+numbering: an operation is keyed by its opcode and the slots of its
+operands, so a subterm that occurs in several roots, read at the same
+polarity, is computed once per assignment.  Leaves are propositional
+variables (keyed by name) and metavariables (keyed by themselves); they
+take the first slots, in an order the caller chooses, and the constants
+follow them.
 
 Structures are read as before: Phi as the unit of its position (all
 worlds in antecedent position, no worlds in succedent position); comma
@@ -18,11 +19,15 @@ difference in antecedent position and material implication in succedent
 position; the General arrow as co-implication and relative
 pseudo-complement; F, F*, Dn as the three maps, F* having no succedent
 reading.  A program reaching F* in succedent position raises when it
-runs, so a sequent that is never evaluated never raises.
+runs, so a sequent that is never evaluated never raises; the staged
+search raises where a root-by-root run would, and nowhere else.
 
-``Machine`` runs programs over one algebra.  It memoises the costly maps
-(downset, f, f*, heyting, co-implication) for its own lifetime, which is one public
-call: nothing is cached across calls.
+``Machine`` runs programs over one algebra, under one assignment (fails,
+slots) or over a whole product of input domains in one staged search
+(search), where an operation runs once per value of the last input it
+reads rather than once per assignment.  It memoises the costly maps
+(downset, f, f*, heyting, co-implication) for its own lifetime, which is
+one public call: nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -82,14 +87,15 @@ _MAKE1, _MAKE2 = object(), object()
 class Program:
     """leaves: the keys of the input slots, in slot order.  consts: the
     values of the slots that follow them.  segments: per root, the
-    operations it adds, as (opcode, slot, slot); each writes the next
-    free slot.  results: per root, its slot, or (antecedent slot,
-    succedent slot) for a sequent."""
+    operations it adds, as (opcode, destination slot, slot, slot).
+    results: per root, its slot, or (antecedent slot, succedent slot) for
+    a sequent.  size: the number of slots."""
 
     leaves: tuple
     consts: tuple
     segments: tuple
     results: tuple
+    size: int
 
 
 class Compiler:
@@ -202,20 +208,28 @@ class Compiler:
                 if len(node) == 2:  # a leaf or a constant
                     continue
                 code, a, b = node
-                ops.append((code, slot[a], slot[b]))
                 slot[i] = next_slot
+                ops.append((code, next_slot, slot[a], slot[b]))
                 next_slot += 1
             segments.append(tuple(ops))
         results = tuple(
             tuple(slot[i] for i in r) if isinstance(r, tuple) else slot[r]
             for _, r in self._roots
         )
-        return Program(leaves, tuple(consts), tuple(segments), results)
+        return Program(leaves, tuple(consts), tuple(segments), results, next_slot)
 
 
 class Machine:
     """Runs programs over one algebra.  The memo tables live as long as
-    the machine; make one per public call."""
+    the machine; make one per public call.
+
+    fails and slots run a program root by root under one assignment.
+    search runs it over a whole product of input domains in one staged
+    loop nest, input 0 outermost: each operation runs in the loop of the
+    last input it reads, each sequent root is tested in the loop where
+    both its sides are known, and an instance settled for a whole subtree
+    (a premise fails there, or its conclusion holds there) leaves it,
+    together with the operations and roots only it needs."""
 
     def __init__(self, alg):
         top = alg.full_team
@@ -227,51 +241,55 @@ class Machine:
         coimps: dict = {}
 
         def run(ops, s):
-            push = s.append
-            for code, a, b in ops:
+            for code, d, a, b in ops:
                 x = s[a]
                 if code == AND:
-                    push(x & s[b])
+                    s[d] = x & s[b]
                 elif code == OR:
-                    push(x | s[b])
+                    s[d] = x | s[b]
                 elif code == DOWN:
                     y = downs.get(x)
                     if y is None:
                         y = downs[x] = downset(x)
-                    push(y)
+                    s[d] = y
                 elif code == HEY:
                     k = (x, s[b])
                     y = heys.get(k)
                     if y is None:
                         y = heys[k] = heyting(x, s[b])
-                    push(y)
+                    s[d] = y
                 elif code == IMP:
-                    push(top & ~x | s[b])
+                    s[d] = top & ~x | s[b]
                 elif code == DIFF:
-                    push(top & ~x & s[b])
+                    s[d] = top & ~x & s[b]
                 elif code == F:
                     y = unions.get(x)
                     if y is None:
                         y = unions[x] = f(x)
-                    push(y)
+                    s[d] = y
                 elif code == COIMP:
                     k = (s[b], x)
                     y = coimps.get(k)
                     if y is None:
                         y = coimps[k] = coimp(s[b], x)
-                    push(y)
+                    s[d] = y
                 elif code == FSTAR:
                     y = stars.get(x)
                     if y is None:
                         y = stars[x] = f_star(x)
-                    push(y)
+                    s[d] = y
                 else:
                     raise InqmtError("Fs has no succedent-part reading")
+
+        def start(prog: Program, values) -> list:
+            s = [*values, *prog.consts]
+            s += [0] * (prog.size - len(s))
+            return s
 
         def fails(prog: Program, values) -> bool:
             """Whether every sequent root but the last holds and the last
             does not; roots after the first failing one are not run."""
-            s = [*values, *prog.consts]
+            s = start(prog, values)
             last = len(prog.segments) - 1
             for i, ops in enumerate(prog.segments):
                 run(ops, s)
@@ -281,13 +299,127 @@ class Machine:
             return False
 
         def slots(prog: Program, values) -> list:
-            s = [*values, *prog.consts]
+            s = start(prog, values)
             for ops in prog.segments:
                 run(ops, s)
             return s
 
+        def search(prog: Program, domains, instances) -> list:
+            """Every instance over the product of domains, one per input
+            slot, in product order.  An instance is a tuple of sequent
+            root indices, premises then conclusion; it fails where every
+            premise holds and the conclusion does not.  Per instance,
+            returns the assignments checked (up to and including its
+            first failure, or all of them) and the values at that
+            failure, or None.  As under fails, a root reading F* in
+            succedent position raises exactly where an assignment reaches
+            it, that is where every root before it in an instance holds."""
+            n = len(domains)
+            strides = [1] * n
+            for i in range(n - 1, 0, -1):
+                strides[i - 1] = strides[i] * len(domains[i])
+            total = strides[0] * len(domains[0]) if n else 1
+            results = [(total, None)] * len(instances)
+            if not total:
+                return results
+            # stage k holds what is known once inputs 0..k-1 are set
+            stage = list(range(1, n + 1)) + [0] * (prog.size - n)
+            poisoned = set()
+            ops = [op for segment in prog.segments for op in segment]
+            for code, d, a, b in ops:
+                stage[d] = max(stage[a], stage[b])
+                if code == FAIL or a in poisoned or b in poisoned:
+                    poisoned.add(d)
+            on_fail: dict = {}  # root -> instances it is a premise of
+            on_hold: dict = {}  # root -> instances it is the conclusion of
+            last = [0] * (n + 1)  # per stage, instances whose last root is tested there
+            raises = 0  # instances that reach F* in succedent position where all else holds
+            for i, roots in enumerate(instances):
+                bit = 1 << i
+                cut = next(
+                    (k for k, r in enumerate(roots) if poisoned.intersection(prog.results[r])),
+                    None,
+                )
+                if cut is None:
+                    *premises, conclusion = roots
+                    on_hold[conclusion] = on_hold.get(conclusion, 0) | bit
+                else:
+                    premises = roots[:cut]
+                    raises |= bit
+                for r in premises:
+                    on_fail[r] = on_fail.get(r, 0) | bit
+                tested = roots if cut is None else premises
+                last[max((stage[x] for r in tested for x in prog.results[r]), default=0)] |= bit
+            need = [0] * prog.size  # per slot, the instances that read it
+            tests: list = [[] for _ in range(n + 1)]
+            for r in sorted(on_fail.keys() | on_hold.keys()):
+                a, c = prog.results[r]
+                f, h = on_fail.get(r, 0), on_hold.get(r, 0)
+                tests[max(stage[a], stage[c])].append((a, c, f, h))
+                need[a] |= f | h
+                need[c] |= f | h
+            for _, d, a, b in reversed(ops):
+                need[a] |= need[d]
+                need[b] |= need[d]
+            work: list = [[] for _ in range(n + 1)]  # per stage, (operation, need)
+            for op in ops:
+                if need[op[1]]:
+                    work[stage[op[1]]].append((op, need[op[1]]))
+            s = start(prog, [0] * n)
+            pos = [0] * n  # the index of each input's value in its domain
+            failed = 0
+
+            def record(hit: int, k: int) -> None:
+                """The instances hit fail on the whole subtree below the
+                values of inputs 0..k-1; its first assignment, counted in
+                product order, is their first failure."""
+                nonlocal failed
+                if hit & raises:
+                    raise InqmtError("Fs has no succedent-part reading")
+                failed |= hit
+                checked = 1 + sum(p * w for p, w in zip(pos[:k], strides))
+                values = (*s[:k], *(dom[0] for dom in domains[k:]))
+                while hit:
+                    low = hit & -hit
+                    results[low.bit_length() - 1] = (checked, values)
+                    hit ^= low
+
+            def descend(i: int, live: int) -> None:
+                """Input i over its domain, under the values of the inputs
+                before it: runs the operations and tests the roots of
+                stage i + 1, then goes down for the instances still open."""
+                k = i + 1
+                ops = [op for op, m in work[k] if m & live]
+                checks = [t for t in tests[k] if (t[2] | t[3]) & live]
+                ends = last[k]
+                for pos[i], s[i] in enumerate(domains[i]):
+                    run(ops, s)
+                    kill = 0
+                    for a, c, f, h in checks:
+                        kill |= f if s[a] & ~s[c] else h
+                    alive = live & ~kill
+                    if alive & ends:
+                        record(alive & ends, k)
+                    if alive & ~ends:
+                        descend(k, alive & ~ends)
+                    if failed & live:
+                        live &= ~failed
+                        if not live:
+                            return
+
+            run([op for op, _ in work[0]], s)
+            live = (1 << len(instances)) - 1
+            for a, c, f, h in tests[0]:
+                live &= ~(f if s[a] & ~s[c] else h)
+            if live & last[0]:
+                record(live & last[0], 0)
+            if live & ~last[0]:
+                descend(0, live & ~last[0])
+            return results
+
         self.fails = fails
         self.slots = slots
+        self.search = search
 
 
 def bind(prog: Program, assignment: dict) -> list:

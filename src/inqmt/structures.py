@@ -13,7 +13,7 @@ structure level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
 
@@ -201,12 +201,34 @@ def operational_terms(seq: Sequent) -> list[FlatFormula | GeneralFormula]:
 # Derivations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
+    """Two derivations are equal when their trees have the same shape
+    and the same conclusion and rule at every node; the active path is
+    not compared.  Equality and hashing walk an explicit stack, so no
+    depth makes them recurse."""
+
     conclusion: Sequent
     rule: str
     premises: tuple["Derivation", ...] = ()
-    active: Path | None = field(default=None, compare=False)
+    active: Path | None = None
+
+    def _shapes(self) -> Iterator[tuple[Sequent, str, int]]:
+        """(conclusion, rule, premise count) of every node, in pre-order;
+        the counts make the sequence determine the tree."""
+        todo = [self]
+        while todo:
+            d = todo.pop()
+            yield d.conclusion, d.rule, len(d.premises)
+            todo.extend(reversed(d.premises))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        return self is other or all(a == b for a, b in zip(self._shapes(), other._shapes()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._shapes()))
 
     def nodes(self) -> Iterator[tuple[tuple[int, ...], "Derivation"]]:
         """All nodes with their tree addresses, root first."""

@@ -1,8 +1,14 @@
-"""Bounded random generators shared across the test modules, and a
-recursive reference evaluator for denotations."""
+"""Bounded random generators shared across the test modules, a
+recursive reference evaluator for denotations, and reference searches
+for the audit and for schema soundness."""
+
+import random
+from itertools import product
 
 from inqmt import metavars as mv
-from inqmt.calculus import Polarity
+from inqmt.algebra import for_context
+from inqmt.calculus import AuditNode, AuditReport, AuditViolation, Polarity, _meta_domains
+from inqmt.denote import Compiler, Machine
 from inqmt.errors import InqmtError
 from inqmt.formulas import (
     Cap,
@@ -19,7 +25,9 @@ from inqmt.formulas import (
     IOr,
     IVar,
     IZERO,
+    variables,
 )
+from inqmt.rules import pseq
 from inqmt.structures import (
     Comma,
     Derivation,
@@ -88,6 +96,21 @@ def rand_general_structure(rng, depth):
     if k == 3:
         return FStarOf(rand_flat_structure(rng, depth - 1))
     return GenFml(rand_general(rng, 2))
+
+
+def plant_leaf(d, rng):
+    """d with one leaf replaced by the unsound leaf v |- w or v |- 0, over
+    variables its parent already has."""
+    leaves = []
+    for addr, parent in d.nodes():
+        seqs = [n.conclusion for n in (parent, *parent.premises)]
+        names = sorted(variables(*(t for seq in seqs for t in (seq.antecedent, seq.succedent))))
+        if names:
+            leaves += [(addr + (i,), names) for i, p in enumerate(parent.premises) if not p.premises]
+    addr, names = rng.choice(leaves)
+    left = rng.choice(names)
+    right = rng.choice([FlatFml(FVar(n)) for n in names if n != left] + [FlatFml(FZERO)])
+    return d.replace(addr, Derivation(Sequent(FlatFml(FVar(left)), right), "Id"))
 
 
 def weakening_chain(nodes):
@@ -175,3 +198,86 @@ def ref_sequent_holds(seq, alg, env):
     a = ref_structure(seq.antecedent, Polarity.ANT, alg, env)
     s = ref_structure(seq.succedent, Polarity.SUC, alg, env)
     return a & ~s == 0
+
+
+# ---------------------------------------------------------------------------
+# Reference searches: one program per rule instance, run once per
+# assignment over Machine.fails, assignments in product order.
+
+
+def ref_audit(d, ctx, samples=10_000, max_exhaustive=100_000, seed=0):
+    """audit_soundness node by node."""
+    alg = for_context(ctx)
+    fails = Machine(alg).fails
+    rng = random.Random(seed)
+    report = AuditReport(seed=seed)
+    for addr, node in d.nodes():
+        compiler = Compiler(alg.full_team)
+        for p in node.premises:
+            compiler.add_sequent(p.conclusion)
+        compiler.add_sequent(node.conclusion)
+        names = sorted(compiler.leaf_keys)
+        prog = compiler.program(names)
+        sampled = ctx.n_teams ** len(names) > max_exhaustive
+        if sampled:
+            report.sampled_nodes += 1
+            assignments = (
+                tuple(rng.randrange(ctx.n_teams) for _ in names) for _ in range(samples)
+            )
+        else:
+            assignments = product(range(ctx.n_teams), repeat=len(names))
+        checked = 0
+        for values in assignments:
+            checked += 1
+            if fails(prog, values):
+                report.violations.append(AuditViolation(addr, node.rule, dict(zip(names, values))))
+                break
+        report.nodes_checked += 1
+        report.assignments_checked += checked
+        report.unchecked_nodes += not checked
+        report.nodes.append(AuditNode(addr, node.rule, checked, sampled))
+    return report
+
+
+def ref_schema_counterexample(schema, ctx, cut_contexts):
+    """schema_soundness_counterexample, searching each direction of the
+    schema, and each surgical consumer context, with its own product loop."""
+    alg = for_context(ctx)
+    downsets = alg.all_downsets()
+    fails = Machine(alg).fails
+    teams = tuple(alg.all_teams())
+    if schema.surgical:
+        hole = mv.FMetaF("a")
+        for text in cut_contexts:
+            compiler = Compiler(alg.full_team).add_sequent(pseq(text))
+            others = [m for m in compiler.leaf_keys if m != hole]
+            prog = compiler.program([hole, *others])
+            domains = [
+                teams if isinstance(m, (mv.SMetaF, mv.FMetaF, mv.PMeta)) else downsets
+                for m in others
+            ]
+            for gamma, alpha in product(teams, teams):
+                if gamma & ~alpha:
+                    continue
+                for values in product(*domains):
+                    if not fails(prog, (alpha, *values)) and fails(prog, (gamma, *values)):
+                        names = {m.name: v for m, v in zip(others, values)}
+                        return {"context": text, "gamma": gamma, "alpha": alpha, **names}
+        return None
+    directions = [(schema.premises, schema.conclusion)]
+    if schema.bidirectional:
+        directions.append(((schema.conclusion,), schema.premises[0]))
+    domains = None
+    for premises, conclusion in directions:
+        compiler = Compiler(alg.full_team)
+        for p in premises:
+            compiler.add_sequent(p)
+        compiler.add_sequent(conclusion)
+        if domains is None:
+            domains = _meta_domains(compiler.polarities, alg, downsets)
+        metas = [m for m, _ in domains]
+        prog = compiler.program(metas)
+        for values in product(*(dom for _, dom in domains)):
+            if fails(prog, values):
+                return {m.name: v for m, v in zip(metas, values)}
+    return None

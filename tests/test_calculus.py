@@ -1,10 +1,12 @@
+import random
 import time
 
 import pytest
 
-from inqmt import corpus, metavars as mv
+from inqmt import calculus, corpus, metavars as mv
 from inqmt.algebra import for_context
 from inqmt.calculus import (
+    AuditNode,
     Polarity,
     audit_soundness,
     check_derivation,
@@ -23,7 +25,7 @@ from inqmt.parser import parse_sequent, parse_structure
 from inqmt.rules import RuleSchema, lookup, rule_table, schema
 from inqmt.structures import Derivation, FlatFml, Sequent, Sort
 
-from helpers import weakening_chain
+from helpers import plant_leaf, ref_audit, ref_schema_counterexample, weakening_chain
 
 P1 = Context.of("p")
 A1 = for_context(P1)
@@ -183,6 +185,51 @@ def test_audit_without_samples_fails_as_unchecked():
     assert report.unchecked_nodes == report.sampled_nodes > 0
     assert not report.ok
     assert audit_soundness(d, P1).unchecked_nodes == 0
+
+
+LEMMA_SCRIPTS = corpus.LEMMA52 + corpus.APPENDIX
+P2 = Context.of("p,q")
+
+
+@pytest.mark.parametrize("name", LEMMA_SCRIPTS)
+def test_audit_matches_the_per_node_reference(name):
+    rng = random.Random(name)
+    d = corpus.load(name)
+    for tree in (d, plant_leaf(d, rng), plant_leaf(d, rng)):
+        for ctx, kw in (
+            (P1, {}),
+            (P2, {}),
+            (P2, {"max_exhaustive": 300, "samples": 50, "seed": 3}),
+            (P2, {"max_exhaustive": 300, "samples": 0}),
+        ):
+            assert audit_soundness(tree, ctx, **kw) == ref_audit(tree, ctx, **kw), (ctx, kw)
+
+
+def test_nodes_of_one_group_fail_at_their_own_assignments():
+    # both nodes range over (p, q), teams 0..3 each, p outermost: the leaf
+    # p |- q first fails at p=1, q=0 (index 4), the root at p=q=1 (index 5)
+    leaf = Derivation(parse_sequent("p |- q"), "Id")
+    root = Derivation(parse_sequent("p , q |- 0"), "W", (leaf,))
+    report = audit_soundness(root, P1)
+    assert report == ref_audit(root, P1)
+    assert report.nodes == [AuditNode((), "W", 6, False), AuditNode((0,), "Id", 5, False)]
+    assert [v.assignment for v in report.violations] == [{"p": 1, "q": 1}, {"p": 1, "q": 0}]
+    assert report.assignments_checked == 11 and report.seed == 0
+
+
+def test_schema_witnesses_match_a_product_search(monkeypatch):
+    planted = schema("W", "planted strengthening", ["G , S |- D"], "G |- D")
+    for s in (*rule_table(), *CORRUPTED, planted):
+        expected = ref_schema_counterexample(s, P1, calculus._CUT_CONTEXTS)
+        assert schema_soundness_counterexample(s, P1) == expected, s.variant
+    # cutting into a succedent-part hole is unsound: the surgical search
+    # finds the same first witness as the product loop
+    contexts = ("a |- S", "S |- a , D", "S |- a")
+    monkeypatch.setattr(calculus, "_CUT_CONTEXTS", contexts)
+    (cut,) = [s for s in rule_table() if s.surgical]
+    witness = schema_soundness_counterexample(cut, P1)
+    assert witness is not None and witness["context"] == "S |- a , D"
+    assert witness == ref_schema_counterexample(cut, P1, contexts)
 
 
 def test_rule_table_sound_at_one_variable():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import inqmt
 from inqmt import corpus
 from inqmt.cli import main
 from inqmt.parser import derivation_to_sexp
@@ -52,6 +56,13 @@ def test_check_and_audit(tmp_path, capsys):
     assert payload["ok"] and len(payload["nodes"]) == 37
     code, out, _ = run(capsys, "audit", "--script", str(script), "-V", "p")
     assert code == 0 and "result: sound" in out
+    code, out, _ = run(capsys, "audit", "--script", str(script), "-V", "p", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["seed"] == 0 and len(payload["nodes"]) == 37
+    assert payload["nodes"][0] == {
+        "addr": [], "rule": "orR", "assignments": 4 ** 3, "coverage": "exhaustive"
+    }
+    assert sum(n["assignments"] for n in payload["nodes"]) == payload["assignments_checked"]
 
     broken = tmp_path / "broken.sexp"
     broken.write_text(
@@ -132,6 +143,8 @@ def test_audit_with_no_samples_is_unchecked(tmp_path, capsys):
     payload = json.loads(out)
     assert code == 1 and not payload["ok"]
     assert payload["unchecked_nodes"] == 25 and payload["sampled_nodes"] == 25
+    sampled = [n for n in payload["nodes"] if n["coverage"] == "sampled"]
+    assert len(sampled) == 25 and not any(n["assignments"] for n in sampled)
 
 
 def test_audit_rejects_negative_samples(tmp_path, capsys):
@@ -152,3 +165,12 @@ def test_json_outputs(capsys):
     details = {s["name"]: s["detail"] for s in suites}
     assert details["KP inclusion |V|=1"] == "144 distinct triples covering 216 principal triples"
     assert details["corpus audit |V|=1"].startswith("7 scripts, 129 nodes, 2415 assignments")
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(inqmt.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "inqmt", "valid", "-V", "p", "~~p -> p"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stdout.strip() == "true", done.stderr

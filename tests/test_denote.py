@@ -1,8 +1,9 @@
 """The compiled denotations against the recursive reference evaluator
 (helpers.ref_*), on the corpus, on seeded random terms and on the rule
-table's pattern sequents."""
+table's pattern sequents; the staged search against a product loop."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -12,16 +13,17 @@ from inqmt.calculus import Polarity, audit_soundness, denote_structure, sequent_
 from inqmt.contexts import Context
 from inqmt.denote import AND, DOWN, Compiler, Machine, denote
 from inqmt.errors import InqmtError
-from inqmt.formulas import Cap, FVar
+from inqmt.formulas import Cap, FVar, variables
 from inqmt.parser import parse_sequent, parse_structure
 from inqmt.rules import rule_table
-from inqmt.structures import Derivation
+from inqmt.structures import Derivation, Sequent
 
 from helpers import (
     rand_flat,
     rand_flat_structure,
     rand_general,
     rand_general_structure,
+    ref_audit,
     ref_formula,
     ref_sequent_holds,
     ref_structure,
@@ -151,3 +153,87 @@ def test_deep_formula_compiles_without_recursion():
     alg = ALGEBRAS[1]
     env = {"p": 0b1011, "q": 0b0111}
     assert alg.denote_flat(alpha, env) == 0b0011
+
+
+class CountedDomain(list):
+    """A domain that counts the values the search draws from it."""
+
+    drawn = 0
+
+    def __iter__(self):
+        for x in super().__iter__():
+            self.drawn += 1
+            yield x
+
+
+def test_search_prunes_a_subtree_settled_by_an_outer_premise():
+    # p |- 0 is known once p is: it fails for p > 0, so q is drawn for p = 0 only
+    alg = ALGEBRAS[0]
+    sequents = [parse_sequent("p |- 0"), parse_sequent("p |- q")]
+    prog = _compile(alg.full_team, sequents, ["p", "q"])
+    ps, qs = CountedDomain(range(4)), CountedDomain(range(4))
+    assert Machine(alg).search(prog, [ps, qs], [(0, 1)]) == [(16, None)]
+    assert (ps.drawn, qs.drawn) == (4, 4)
+    # the audit still counts every assignment of the pruned subtree
+    d = Derivation(sequents[1], "X", (Derivation(sequents[0], "Id"),))
+    report = audit_soundness(d, Context.of("p"))
+    assert report == ref_audit(d, Context.of("p")) and report.nodes[0].assignments == 16
+
+
+def test_fs_is_reached_only_past_the_roots_before_it():
+    # the premise never holds (Ph is all worlds, q & ~q none) but is known
+    # only once q is; Dn(p) |- Fs(p) is known once p is, yet never reached
+    never = parse_sequent("Ph |- q & (q ~> 0)")
+    bad = parse_sequent("Dn(p) |- Fs(p)")
+    d = Derivation(bad, "X", (Derivation(never, "Id"),))
+    assert audit_soundness(d, Context.of("p")) == ref_audit(d, Context.of("p"))
+    assert audit_soundness(d, Context.of("p")).nodes[0].assignments == 16
+    # where the premise can hold, the root is reached and raises
+    d = Derivation(bad, "X", (Derivation(parse_sequent("Ph |- q"), "Id"),))
+    with pytest.raises(InqmtError):
+        audit_soundness(d, Context.of("p"))
+
+
+def _product_outcomes(alg, sequents, instances, names):
+    """Per instance, (checked, first failing values) from its own program
+    run once per assignment; or InqmtError when one of them raises."""
+    fails = Machine(alg).fails
+    out = []
+    for roots in instances:
+        prog = _compile(alg.full_team, [sequents[r] for r in roots], names)
+        checked, found = 0, None
+        for values in product(range(alg.n_teams), repeat=len(names)):
+            checked += 1
+            try:
+                failed = fails(prog, values)
+            except InqmtError:
+                return InqmtError
+            if failed:
+                found = values
+                break
+        out.append((checked, found))
+    return out
+
+
+def test_search_matches_a_product_loop():
+    rng = random.Random(75)
+    alg = ALGEBRAS[0]
+    outcomes = set()
+    for _ in range(200):
+        sequents = []
+        for _ in range(5):
+            make = rng.choice((rand_flat_structure, rand_general_structure))
+            sequents.append(Sequent(make(rng, 2), make(rng, 2)))
+        instances = [tuple(rng.choices(range(5), k=rng.randrange(1, 4))) for _ in range(4)]
+        names = sorted(variables(*(t for seq in sequents for t in (seq.antecedent, seq.succedent))))
+        prog = _compile(alg.full_team, sequents, names)
+        expected = _product_outcomes(alg, sequents, instances, names)
+        if expected is InqmtError:
+            with pytest.raises(InqmtError):
+                Machine(alg).search(prog, [range(alg.n_teams)] * len(names), instances)
+            outcomes.add("raises")
+            continue
+        found = Machine(alg).search(prog, [range(alg.n_teams)] * len(names), instances)
+        assert found == expected
+        outcomes.update("fails" if v else "holds" for _, v in found)
+    assert outcomes == {"raises", "fails", "holds"}

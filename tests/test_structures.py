@@ -17,7 +17,7 @@ from inqmt.structures import (
     structure_at,
 )
 
-from helpers import rand_flat_structure
+from helpers import rand_flat_structure, weakening_chain
 
 
 def test_sequent_constructor_enforces_uniformity():
@@ -105,3 +105,16 @@ def test_nodes_of_a_deep_derivation():
     for _ in range(4999):
         d = Derivation(seq, "W", (d,))
     assert [len(addr) for addr, _ in d.nodes()] == list(range(5000))
+
+
+def test_deep_derivations_compare_and_hash_without_recursion():
+    a, b = weakening_chain(1000), weakening_chain(1000)
+    assert a is not b and a == b and hash(a) == hash(b)
+    # the same chain but for the deepest leaf
+    leaf = (0,) * 999
+    other = b.replace(leaf, Derivation(parse_sequent("p |- p"), "Ax"))
+    assert a != other and other.at(leaf).rule == "Ax"
+    assert a != b.replace(leaf, Derivation(parse_sequent("q |- q"), "Id"))
+    # the active path is not compared; shape is
+    assert Derivation(a.conclusion, "W", a.premises, ("ant", 0)) == a
+    assert Derivation(a.conclusion, "W", a.premises + a.premises) != a
