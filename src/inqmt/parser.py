@@ -23,6 +23,20 @@ sort named by its first token after any opening parentheses.
 Derivation scripts are s-expressions, one derivation per UTF-8 file:
 
     (rule "<name>" (seq "<antecedent>" "<succedent>") <premise>*)
+
+A script is read in two phases.  A recursive node reader first checks
+its shape and returns a skeleton (rule name, the two side texts and the
+premises) without reading any side.  The sides are then read in text
+order, conclusion before premises and antecedent before succedent,
+through one table per script from side text to (side, sort): a side is
+read once, and while it is read every operand built by an operator, a
+parenthesis or a wrapper whose exact text is another side of the script
+is stored under that text.  Terms are interned, so a stored operand is
+the very term reading its text would give.  Script-shape errors are
+thus reported before side errors, and of two faulty sides the earlier
+in the text.  Printing a derivation likewise prints each distinct side
+once, premises before conclusions, and a side containing one already
+printed copies its text.
 """
 
 from __future__ import annotations
@@ -200,12 +214,18 @@ _SIDE_SORTS = {
 
 
 class _Reader:
-    """A token list read by precedence climbing over the sort tables."""
+    """A token list read by precedence climbing over the sort tables.
 
-    def __init__(self, text: str, pattern_mode: bool = False):
+    Given the side table of a script, it stores there every operand built
+    by an operator, a parenthesis or a wrapper whose source text is a
+    side of that script."""
+
+    def __init__(self, text: str, pattern_mode: bool = False, sides: _Sides | None = None):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.pattern_mode = pattern_mode
+        self.sides = sides
 
     def expect(self, want: str):
         tok, pos = self.tokens[self.i]
@@ -247,25 +267,27 @@ class _Reader:
         no interpreter frames.
 
         A group (the whole input, or a parenthesised or wrapped part of
-        it) keeps its grammar, lo, its operands, its pending operators and
-        how it closes.  lo is the weakest operator the group admits: 1
-        where structures may stand, the sort's floor where only formulas
-        may.  An operator first builds the pending ones that bind at least
-        as tightly (more tightly, when it is right-associative); one
-        weaker than lo ends the group.  Prefixes are pending operators
-        binding tighter than any infix one.  An operand is formula-only in
-        a formula-only group and after a prefix or a formula connective.
+        it) keeps its grammar, lo, its operands, its pending operators,
+        how it closes and where its operands and pending prefixes start.
+        lo is the weakest operator the group admits: 1 where structures
+        may stand, the sort's floor where only formulas may.  An operator
+        first builds the pending ones that bind at least as tightly (more
+        tightly, when it is right-associative); one weaker than lo ends
+        the group.  Prefixes are pending operators binding tighter than
+        any infix one.  An operand is formula-only in a formula-only group
+        and after a prefix or a formula connective.
         """
         tokens = self.tokens
-        group = (g, g.floor if formula else 1, [], [], None)
+        group = (g, g.floor if formula else 1, [], [], None, [])
         groups = [group]
         while True:
-            g, lo, operands, ops, _ = group
+            g, lo, operands, ops, _, starts = group
             tok, pos = tokens[self.i]
             self.i += 1
             formula_only = lo >= g.floor or bool(ops) and ops[-1][0] >= g.floor
             if tok in g.prefix:
                 ops.append((_PREFIX, True, g.prefix[tok]))
+                starts.append(pos)
                 continue
             body = None
             if tok == "(":
@@ -276,7 +298,7 @@ class _Reader:
                 body = _SORTS.get(sort)
             if body is not None:
                 close = (build, body_formula, formula_only, tok, pos)
-                group = (body, body.floor if body_formula else 1, [], [], close)
+                group = (body, body.floor if body_formula else 1, [], [], close, [])
                 groups.append(group)
                 continue
             t = None
@@ -292,18 +314,19 @@ class _Reader:
             if t is None or (formula_only and not isinstance(t, g.formula)):
                 what = "formula" if formula_only else "structure"
                 raise ParseError(f"expected a {what} in {g.name}, found {tok!r}", pos)
-            while True:  # t completes an operand of the current group
+            while True:  # t, starting at pos, completes an operand of the current group
                 operands.append(t)
+                starts.append(pos)
                 tok, pos = tokens[self.i]
                 row = g.infix.get(tok)
                 if row is not None and row[0] >= lo:
-                    self._reduce(g, operands, ops, row[0])
+                    self._reduce(g, operands, ops, starts, row[0])
                     if row[0] >= g.floor and not isinstance(operands[-1], g.formula):
                         raise ParseError(f"{tok!r} joins {g.name} formulas, not structures", pos)
                     ops.append(row)
                     self.i += 1
                     break
-                self._reduce(g, operands, ops, 0)
+                self._reduce(g, operands, ops, starts, 0)
                 (t,) = operands
                 groups.pop()
                 if group[4] is None:
@@ -313,22 +336,40 @@ class _Reader:
                 if build is not None:  # a wrapper, not a parenthesis
                     t = build(t if body_formula else self.lifted(g, t))
                 group = groups[-1]
-                g, lo, operands, ops, _ = group
+                g, lo, operands, ops, _, starts = group
                 if formula_only and not isinstance(t, g.formula):
                     raise ParseError(f"expected a formula in {g.name}, found {tok!r}", pos)
+                if self.sides is not None:
+                    self._keep(g, t, pos)
 
-    def _reduce(self, g: Grammar, operands: list, ops: list, strength: int):
+    def _reduce(self, g: Grammar, operands: list, ops: list, starts: list, strength: int):
         """Build the pending operators that bind at least as tightly as
-        an operator of this strength (more tightly if it is right-associative)."""
+        an operator of this strength (more tightly if it is right-associative).
+        A built operand starts where its left operand or its prefix does."""
         while ops and (ops[-1][0] > strength or (ops[-1][0] == strength and not ops[-1][1])):
             row_strength, _, build = ops.pop()
             right = operands.pop()
+            starts.pop()
             if row_strength == _PREFIX:
-                operands.append(build(right))
+                t = build(right)
             elif row_strength < g.floor:
-                operands.append(build(self.lifted(g, operands.pop()), self.lifted(g, right)))
+                t = build(self.lifted(g, operands.pop()), self.lifted(g, right))
             else:
-                operands.append(build(operands.pop(), right))
+                t = build(operands.pop(), right)
+            operands.append(t)
+            if self.sides is not None:
+                self._keep(g, t, starts[-1])
+
+    def _keep(self, g: Grammar, t, start: int):
+        """Store the operand t of g, which starts at start and ends with the
+        last token read, if its text is a side of the script: reading that
+        text gives the same term, since terms are interned."""
+        tok, pos = self.tokens[self.i - 1]
+        end = pos + len(tok)
+        if end - start in self.sides.lengths:
+            text = self.text[start:end]
+            if text in self.sides.entries:
+                self.sides.entries[text] = (self.lifted(g, t), g)
 
     def variables(self) -> list[str]:
         names = [self.variable()]
@@ -373,18 +414,18 @@ def parse_structure(text: str, pattern_mode: bool = False) -> Structure:
     return _Reader(text, pattern_mode).side(EOF)[0]
 
 
-def _sequent(ant, ant_sort: Grammar, suc, suc_sort: Grammar, text: str) -> Sequent:
-    if ant_sort is not suc_sort:
-        raise MixedSortError(
-            f"mixed types: antecedent is {ant_sort.name}, succedent is {suc_sort.name}: {text}"
-        )
-    return Sequent(ant, suc)
+def _mixed(ant_sort: Grammar, suc_sort: Grammar, text: str) -> MixedSortError:
+    return MixedSortError(
+        f"mixed types: antecedent is {ant_sort.name}, succedent is {suc_sort.name}: {text}"
+    )
 
 
 def sequent_from_sides(ant_text: str, suc_text: str, pattern_mode: bool = False) -> Sequent:
     ant, ant_sort = _Reader(ant_text, pattern_mode).side(EOF)
     suc, suc_sort = _Reader(suc_text, pattern_mode).side(EOF)
-    return _sequent(ant, ant_sort, suc, suc_sort, f"{ant_text} |- {suc_text}")
+    if ant_sort is not suc_sort:
+        raise _mixed(ant_sort, suc_sort, f"{ant_text} |- {suc_text}")
+    return Sequent(ant, suc)
 
 
 def parse_sequent(text: str, pattern_mode: bool = False) -> Sequent:
@@ -397,7 +438,9 @@ def parse_sequent(text: str, pattern_mode: bool = False) -> Sequent:
     ant, ant_sort = r.side("|-")
     r.i += 1
     suc, suc_sort = r.side(EOF)
-    return _sequent(ant, ant_sort, suc, suc_sort, text)
+    if ant_sort is not suc_sort:
+        raise _mixed(ant_sort, suc_sort, text)
+    return Sequent(ant, suc)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +464,12 @@ _WRAPPER_OF = {
 _LIFTS = frozenset(g.lift for g in _GRAMMARS if g.lift is not None)
 
 
-def print_term(t) -> str:
+def print_term(t, texts: dict | None = None) -> str:
     """The text of a formula or structure of any sort.  The walk keeps
     an explicit stack of terms still to print, each with the weakest
-    operator its context admits unparenthesised, and of literal text."""
+    operator its context admits unparenthesised, and of literal text.
+    A term that texts maps to a text is not walked: its text is emitted,
+    parenthesised if the term binds looser than its context admits."""
     out: list[str] = []
     todo: list = [(t, 0)]
     while todo:
@@ -435,7 +480,10 @@ def print_term(t) -> str:
         t, min_strength = item
         cls = type(t)
         row = _INFIX_OF.get(cls)
-        if row is not None:
+        if texts is not None and t in texts:
+            text = texts[t]
+            out.append(f"({text})" if row is not None and row[1] < min_strength else text)
+        elif row is not None:
             tok, strength, right = row
             # the operand on the associative side may bind as loosely as the operator
             items = [(t.left, strength + 1 if right else strength), f" {tok} "]
@@ -459,12 +507,47 @@ def print_term(t) -> str:
 _SEXP_TOKEN_RE = re.compile(r'\s*(?:(\(|\)|"[^"]*"|[A-Za-z][A-Za-z0-9_-]*)|(\S)|\Z)')
 
 
+class _Sides:
+    """The side table of one script: every distinct side text, mapped to
+    its (side, sort) once read, and the lengths of those texts."""
+
+    def __init__(self, texts):
+        self.entries: dict = dict.fromkeys(texts)
+        self.lengths = frozenset(map(len, self.entries))
+
+    def side(self, text: str) -> tuple[Structure, Grammar]:
+        entry = self.entries[text]
+        if entry is None:
+            entry = self.entries[text] = _Reader(text, sides=self).side(EOF)
+        return entry
+
+
 def parse_derivation(text: str) -> Derivation:
     tokens = _tokenize(text, _SEXP_TOKEN_RE, " in script")
-    node, i = _parse_deriv_node(tokens, 0)
+    root, i = _parse_deriv_node(tokens, 0)
     if tokens[i][0] != EOF:
         raise ParseError("unexpected trailing input in script", tokens[i][1])
-    return node
+    nodes = []  # the skeleton in pre-order, which is text order
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        todo.extend(reversed(node[3]))
+    sides = _Sides(side for _, ant, suc, _ in nodes for side in (ant, suc))
+    sequents = []
+    for _, ant_text, suc_text, _ in nodes:
+        ant, ant_sort = sides.side(ant_text)
+        suc, suc_sort = sides.side(suc_text)
+        if ant_sort is not suc_sort:
+            raise _mixed(ant_sort, suc_sort, f"{ant_text} |- {suc_text}")
+        sequents.append(Sequent(ant, suc))
+    # built backwards, a node's premises are the last ones built, its first on top
+    built: list[Derivation] = []
+    for (name, _, _, premises), seq in zip(reversed(nodes), reversed(sequents)):
+        kids = tuple(built.pop() for _ in premises)
+        built.append(Derivation(seq, name, kids))
+    (d,) = built
+    return d
 
 
 def _expect_tok(tokens, i, want):
@@ -481,7 +564,9 @@ def _string_tok(tokens, i) -> tuple[str, int]:
     return tok[1:-1], i + 1
 
 
-def _parse_deriv_node(tokens, i) -> tuple[Derivation, int]:
+def _parse_deriv_node(tokens, i) -> tuple[tuple, int]:
+    """One node of the script's skeleton: (rule, antecedent text,
+    succedent text, premises).  It recurses once per node."""
     i = _expect_tok(tokens, i, "(")
     i = _expect_tok(tokens, i, "rule")
     name, i = _string_tok(tokens, i)
@@ -495,21 +580,32 @@ def _parse_deriv_node(tokens, i) -> tuple[Derivation, int]:
         node, i = _parse_deriv_node(tokens, i)
         premises.append(node)
     i = _expect_tok(tokens, i, ")")
-    return Derivation(sequent_from_sides(ant, suc), name, tuple(premises)), i
+    return (name, ant, suc, premises), i
 
 
 def derivation_to_sexp(d: Derivation) -> str:
-    lines: list[str] = []
-    todo: list = [(d, 0)]  # (node, depth), or (None, 0) where a node closes
+    nodes: list = []  # (node, depth) in pre-order, or (None, 0) where a node closes
+    todo: list = [(d, 0)]
     while todo:
         node, depth = todo.pop()
+        nodes.append((node, depth))
+        if node is not None:
+            todo.append((None, 0))
+            todo.extend((p, depth + 1) for p in reversed(node.premises))
+    texts: dict = {}  # each distinct side, and the formula of a lifted one -> its text
+    for node, _ in reversed(nodes):  # premises before their conclusions
+        if node is None:
+            continue
+        for side in (node.conclusion.antecedent, node.conclusion.succedent):
+            if side not in texts:
+                texts[side] = print_term(side, texts)
+                if type(side) in _LIFTS:
+                    texts[side.formula] = texts[side]
+    lines: list[str] = []
+    for node, depth in nodes:
         if node is None:
             lines[-1] += ")"
-            continue
-        lines.append(
-            f'{"  " * depth}(rule "{node.rule}" '
-            f'(seq "{node.conclusion.antecedent}" "{node.conclusion.succedent}")'
-        )
-        todo.append((None, 0))
-        todo.extend((p, depth + 1) for p in reversed(node.premises))
+        else:
+            ant, suc = texts[node.conclusion.antecedent], texts[node.conclusion.succedent]
+            lines.append(f'{"  " * depth}(rule "{node.rule}" (seq "{ant}" "{suc}")')
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Bounded random generators shared across the test modules, a
-recursive reference evaluator for denotations, and reference searches
-for the audit and for schema soundness."""
+recursive reference evaluator for denotations, reference searches for
+the audit and for schema soundness, and a node-by-node reference reader
+and printer of derivation scripts."""
 
 import random
 from itertools import product
@@ -9,7 +10,7 @@ from inqmt import metavars as mv
 from inqmt.algebra import for_context
 from inqmt.calculus import AuditNode, AuditReport, AuditViolation, Polarity, _meta_domains
 from inqmt.denote import Compiler, Machine
-from inqmt.errors import InqmtError
+from inqmt.errors import InqmtError, ParseError
 from inqmt.formulas import (
     Cap,
     Down,
@@ -26,6 +27,15 @@ from inqmt.formulas import (
     IVar,
     IZERO,
     variables,
+)
+from inqmt.parser import (
+    _SEXP_TOKEN_RE,
+    EOF,
+    _expect_tok,
+    _string_tok,
+    _tokenize,
+    print_term,
+    sequent_from_sides,
 )
 from inqmt.rules import pseq
 from inqmt.structures import (
@@ -281,3 +291,50 @@ def ref_schema_counterexample(schema, ctx, cut_contexts):
             if fails(prog, values):
                 return {m.name: v for m, v in zip(metas, values)}
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference scripts: every node's sides read, and printed, on their own.
+
+
+def ref_parse_derivation(text):
+    """parse_derivation node by node: a node's sides are read with
+    sequent_from_sides once its premises are read, so in post-order."""
+    tokens = _tokenize(text, _SEXP_TOKEN_RE, " in script")
+
+    def node(i):
+        i = _expect_tok(tokens, i, "(")
+        i = _expect_tok(tokens, i, "rule")
+        name, i = _string_tok(tokens, i)
+        i = _expect_tok(tokens, i, "(")
+        i = _expect_tok(tokens, i, "seq")
+        ant, i = _string_tok(tokens, i)
+        suc, i = _string_tok(tokens, i)
+        i = _expect_tok(tokens, i, ")")
+        premises = []
+        while tokens[i][0] == "(":
+            premise, i = node(i)
+            premises.append(premise)
+        i = _expect_tok(tokens, i, ")")
+        return Derivation(sequent_from_sides(ant, suc), name, tuple(premises)), i
+
+    d, i = node(0)
+    if tokens[i][0] != EOF:
+        raise ParseError("unexpected trailing input in script", tokens[i][1])
+    return d
+
+
+def ref_derivation_to_sexp(d):
+    """derivation_to_sexp with every side printed by a plain print_term."""
+    lines = []
+    todo = [(d, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if node is None:
+            lines[-1] += ")"
+            continue
+        ant, suc = print_term(node.conclusion.antecedent), print_term(node.conclusion.succedent)
+        lines.append(f'{"  " * depth}(rule "{node.rule}" (seq "{ant}" "{suc}")')
+        todo.append((None, 0))
+        todo.extend((p, depth + 1) for p in reversed(node.premises))
+    return "\n".join(lines) + "\n"

@@ -4,12 +4,18 @@ import pytest
 
 from inqmt import corpus
 from inqmt import metavars as mv
-from inqmt.derivations import corpus_derivations
+from inqmt import parser
+from inqmt.derivations import corpus_derivations, id_flat, id_general, principal_cut_example
 from inqmt.errors import MixedSortError, ParseError
 from inqmt.formulas import (
+    Cap,
     Down,
     FImp,
     FVar,
+    FZERO,
+    GAnd,
+    GImp,
+    GOr,
     IAnd,
     IImp,
     IOr,
@@ -17,6 +23,7 @@ from inqmt.formulas import (
     IZERO,
     flat_neg,
     gen_neg,
+    subterms,
 )
 from inqmt.parser import (
     FLAT,
@@ -30,7 +37,7 @@ from inqmt.parser import (
     parse_structure,
     print_term,
 )
-from inqmt.structures import Comma, Derivation, FlatFml, GenFml, Semi, Sequent, Sort
+from inqmt.structures import Comma, Derivation, FlatFml, GenFml, Semi, Sequent, Sort, Sup
 
 from helpers import (
     rand_flat,
@@ -38,6 +45,9 @@ from helpers import (
     rand_general,
     rand_general_structure,
     rand_inql,
+    ref_derivation_to_sexp,
+    ref_parse_derivation,
+    weakening_chain,
 )
 
 p, q = IVar("p"), IVar("q")
@@ -199,3 +209,120 @@ def test_formula_connective_on_a_structure_is_an_error():
     with pytest.raises(ParseError) as e:
         parse_sequent("p |- Ph & p")
     assert e.value.pos == 8
+
+
+# ---------------------------------------------------------------------------
+# Scripts: one side table per script, checked against a node-by-node reader
+
+
+HAND_WRITTEN = (
+    # prefix sugar: the negated operands are sides of their own
+    '(rule "a" (seq "~p , q" "~(p & q) , r") (rule "b" (seq "p" "(p & q)"))'
+    ' (rule "c" (seq "p & q" "~p")))',
+    '(rule "a" (seq "neg dn(p) ; Dn(q)" "neg (dn(p) /\\ dn(q))")'
+    ' (rule "b" (seq "dn(p)" "dn(p) /\\ dn(q)")) (rule "c" (seq "neg dn(p)" "Dn(q)")))',
+    # redundant parentheses and irregular spacing
+    '(rule "a" (seq "((p ,q))  ,( r)" " (p ,q)") (rule "b" (seq "p ,q" "( r)"))'
+    ' (rule "c" (seq "r" "((p))")))',
+    # a side inside another side, parenthesised there
+    '(rule "a" (seq "r , (p |> q)" "(p ~> q) ~> r") (rule "b" (seq "p |> q" "p ~> q")))',
+    '(rule "a" (seq "F(dn(p) ; (Dn(q) > Dn(p)))" "p") (rule "b" (seq "Dn(q) > Dn(p)" "dn(p)")))',
+)
+
+
+def _generated_derivations():
+    rng = random.Random(8)
+    for _ in range(12):
+        yield id_flat(rand_flat(rng, 4))
+        yield id_general(rand_general(rng, 4))
+    for n in (1, 2, 7, 40):
+        yield weakening_chain(n)
+    shapes = (Cap, FImp, GAnd, GOr, GImp)
+    for _ in range(4):
+        yield principal_cut_example(FVar(rng.choice("pqr")))
+        yield principal_cut_example(FZERO)
+        yield principal_cut_example(Down(rand_flat(rng, 3)))
+        for shape in shapes:
+            make = rand_flat if shape in (Cap, FImp) else rand_general
+            yield principal_cut_example(shape(make(rng, 3), make(rng, 3)))
+
+
+def test_scripts_match_the_per_node_reference():
+    texts = [corpus.text(name) for name in corpus.names()]
+    for d in _generated_derivations():
+        text = ref_derivation_to_sexp(d)
+        assert derivation_to_sexp(d) == text
+        texts.append(text)
+    for text in [*texts, *HAND_WRITTEN]:
+        d = parse_derivation(text)
+        assert d == ref_parse_derivation(text), text
+        assert derivation_to_sexp(d) == ref_derivation_to_sexp(d), text
+
+
+def test_a_chain_is_read_by_two_readers_and_printed_side_by_side(monkeypatch):
+    d = weakening_chain(300)
+    text = ref_derivation_to_sexp(d)
+    readers = []
+
+    class Counting(parser._Reader):
+        def __init__(self, text, *args, **kwargs):
+            readers.append(text)
+            super().__init__(text, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "_Reader", Counting)
+    assert parse_derivation(text) == d
+    # the root's antecedent holds every other antecedent as an operand;
+    # the one-token side p is read on its own
+    assert readers == [str(d.conclusion.antecedent), "p"]
+
+    sides = {t for _, n in d.nodes() for t in (n.conclusion.antecedent, n.conclusion.succedent)}
+    printed = []
+    plain = parser.print_term
+
+    def spy(t, texts=None):
+        # every side inside t already has its text, so the walk stops there
+        assert all(s in texts for s in subterms(t) if s in sides and s is not t)
+        printed.append(t)
+        return plain(t, texts)
+
+    monkeypatch.setattr(parser, "print_term", spy)
+    assert derivation_to_sexp(d) == text
+    assert len(printed) == len(set(printed)) == len(sides) == 300
+
+
+def test_print_term_emits_stored_texts_in_context():
+    arrow = parse_structure("p |> q")
+    texts = {arrow: "A"}
+    assert print_term(Comma(FlatFml(FVar("r")), arrow), texts) == "r , (A)"
+    assert print_term(Sup(FlatFml(FVar("r")), arrow), texts) == "r |> A"
+    assert print_term(Sup(arrow, FlatFml(FVar("r"))), texts) == "(A) |> r"
+    imp = parse_flat("p ~> q")
+    assert print_term(FlatFml(FImp(imp, FVar("r"))), {imp: "B"}) == "(B) ~> r"
+    assert print_term(FlatFml(FImp(FVar("r"), imp)), {imp: "B"}) == "r ~> B"
+
+
+def test_script_errors_come_shape_first_then_in_text_order():
+    # a shape error beats any side error, wherever that side is
+    shape = '(rule "a" (seq "p" "p") (rule "b" (seq "p @" "p")) junk)'
+    with pytest.raises(ParseError) as e:
+        parse_derivation(shape)
+    assert e.value.message == "expected ')', found 'junk'"
+    with pytest.raises(ParseError) as e:
+        ref_parse_derivation(shape)  # node by node, the premise's side came first
+    assert e.value.message == "unexpected character '@'"
+    # between faulty sides the one earlier in the text wins: the
+    # conclusion's before its premise's, the antecedent before the succedent
+    for conclusion, message in (
+        ('"(q" "q"', "expected ')', found '<eof>'"),
+        ('"q" "(q"', "expected ')', found '<eof>'"),
+        ('"(q" "q @"', "expected ')', found '<eof>'"),
+        ('"q @" "(q"', "unexpected character '@'"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_derivation(f'(rule "a" (seq {conclusion}) (rule "b" (seq "p @" "p")))')
+        assert e.value.message == message
+    mixed = '(rule "a" (seq "q" "dn(q)") (rule "b" (seq "p @" "p")))'
+    with pytest.raises(MixedSortError):
+        parse_derivation(mixed)
+    with pytest.raises(ParseError):
+        ref_parse_derivation(mixed)
