@@ -13,22 +13,29 @@ i.e. when S is outside the up-closure of Y\\Z.  The co-implication is the
 dual residual: the least down-set Z with X included in Y union Z, which
 is the downward closure of X\\Y.
 
+Every map costs a fixed number of big-integer operations per world: a
+closure step is one AND, one shift and one OR; downset doubles its mask
+once per world of the team; f tests each world's team column once.
+
 Denotations of formulas are computed by the package's one compiler
 (see denote); denote_flat and denote_general are thin wrappers over it.
-Nothing here builds tables ahead of use: enumeration of down-sets is
-cached per context, and everything else is computed on demand.
+The algebra is built once per context (for_context) and holds that
+context's constants: the per-world team columns and closure masks, and
+the down-set of each variable's team.  The down-sets themselves are
+enumerated once per context, world by world.  Nothing is cached across
+calls beyond these.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .contexts import Context
+from .contexts import Context, bit_column
 from .denote import Polarity, denote
 from .errors import SizeCapError
 from .formulas import FlatFormula, GeneralFormula
 
-ENUM_MAX_WORLDS = 4  # down-set enumeration needs 2^(2^worlds) candidates
+ENUM_MAX_WORLDS = 4  # 168 down-sets over 4 worlds; over 8 there are about 5.6e22
 
 
 class TeamAlgebra:
@@ -39,25 +46,23 @@ class TeamAlgebra:
         self.full_team = ctx.full_team
         self.full = (1 << self.n_teams) - 1
         # _has[b]: mask over team indices whose team contains world b
-        self._has = [self._world_bit_mask(b) for b in range(self.n_worlds)]
-
-    def _world_bit_mask(self, b: int) -> int:
-        run = 1 << b
-        period = run << 1
-        block = ((1 << run) - 1) << run
-        repeats = self.n_teams // period
-        return block * (((1 << (repeats * period)) - 1) // ((1 << period) - 1))
+        self._has = [bit_column(b, self.n_teams) for b in range(self.n_worlds)]
+        # one closure step per world: the teams that can move (they hold,
+        # resp. lack, world b) and the distance 2^b they move by
+        self._down_steps = [(has, 1 << b) for b, has in enumerate(self._has)]
+        self._up_steps = [(self.full & ~has, 1 << b) for b, has in enumerate(self._has)]
+        self._var_downsets = {v: self.downset(t) for v, t in ctx.var_teams.items()}
 
     # ----------------------------------------------------------- closures
 
     def down_closure(self, x: int) -> int:
-        for b in range(self.n_worlds):
-            x |= (x & self._has[b]) >> (1 << b)
+        for has, shift in self._down_steps:
+            x |= (x & has) >> shift
         return x
 
     def up_closure(self, x: int) -> int:
-        for b in range(self.n_worlds):
-            x |= (x & ~self._has[b] & self.full) << (1 << b)
+        for lacks, shift in self._up_steps:
+            x |= (x & lacks) << shift
         return x
 
     def is_downward_closed(self, x: int) -> bool:
@@ -66,22 +71,29 @@ class TeamAlgebra:
     # ------------------------------------------------- the three maps
 
     def downset(self, team: int) -> int:
-        """All subteams of a team; the product form sums 2^T over T <= team."""
+        """All subteams of a team: each world b of it doubles the mask,
+        adding a copy shifted by 2^b (the subteams that gain b)."""
         mask = 1
-        b = 0
-        while team >> b:
-            if (team >> b) & 1:
-                mask *= 1 + (1 << (1 << b))
-            b += 1
+        while team:
+            low = team & -team
+            mask |= mask << low
+            team ^= low
         return mask
 
+    def var_downset(self, name: str) -> int:
+        """downset of a variable's canonical team, built once per context."""
+        try:
+            return self._var_downsets[name]
+        except KeyError:
+            raise self.ctx.unknown_variable(name) from None
+
     def f(self, x: int) -> int:
-        """Union of the member teams of a collection."""
+        """Union of the member teams of a collection: world w is in it
+        exactly when some member team holds w."""
         union = 0
-        while x:
-            low = x & -x
-            union |= low.bit_length() - 1
-            x ^= low
+        for w, has in enumerate(self._has):
+            if x & has:
+                union |= 1 << w
         return union
 
     def f_star(self, team: int) -> int:
@@ -121,7 +133,7 @@ class TeamAlgebra:
     # ------------------------------------------------------ denotations
 
     def canonical_assignment(self) -> dict[str, int]:
-        return {v: self.ctx.var_team(v) for v in self.ctx.variables}
+        return dict(self.ctx.var_teams)
 
     def denote_flat(self, alpha: FlatFormula, assignment: dict[str, int]) -> int:
         if not isinstance(alpha, FlatFormula):
@@ -151,5 +163,11 @@ def _downsets_of(ctx: Context) -> tuple[int, ...]:
             f"down-set enumeration needs at most {ENUM_MAX_WORLDS} worlds, "
             f"got {ctx.n_worlds}"
         )
-    alg = for_context(ctx)
-    return tuple(x for x in range(1 << ctx.n_teams) if alg.is_downward_closed(x))
+    # a down-set over worlds 0..b is D0 | D1 << 2^b: D0 holds the teams
+    # without b, D1 the teams that stay in it with b added; both are
+    # down-sets over worlds 0..b-1 and D1 is inside D0
+    downs = [0, 1]
+    for b in range(ctx.n_worlds):
+        shift = 1 << b
+        downs = [d0 | d1 << shift for d0 in downs for d1 in downs if d1 & ~d0 == 0]
+    return tuple(sorted(downs))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import SizeCapError
@@ -61,16 +62,20 @@ class Context:
     def full_team(self) -> int:
         return self.n_teams - 1
 
-    def var_index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise ValueError(f"unknown variable {name!r} in context {self.variables}") from None
+    def unknown_variable(self, name: str) -> ValueError:
+        return ValueError(f"unknown variable {name!r} in context {self.variables}")
+
+    @cached_property
+    def var_teams(self) -> dict[str, int]:
+        """The canonical team of each variable: every world that makes it
+        true.  Built once per context; read, do not mutate."""
+        return {v: bit_column(i, self.n_worlds) for i, v in enumerate(self.variables)}
 
     def var_team(self, name: str) -> int:
-        """The canonical team of a variable: every world that makes it true."""
-        i = self.var_index(name)
-        return sum(1 << w for w in range(self.n_worlds) if (w >> i) & 1)
+        try:
+            return self.var_teams[name]
+        except KeyError:
+            raise self.unknown_variable(name) from None
 
     def worlds(self) -> range:
         return range(self.n_worlds)
@@ -113,6 +118,19 @@ class Context:
         for w in self.worlds():
             if (team >> w) & 1:
                 yield w
+
+
+def bit_column(i: int, width: int) -> int:
+    """Mask over the indices 0..width-1 whose bit i is set.
+
+    width is a power of two of at least 2^(i+1); the mask repeats the
+    block of 2^i zeros followed by 2^i ones.  Over worlds (width 2^|V|)
+    this is a variable's team; over teams it is the collection of the
+    teams that hold world i."""
+    run = 1 << i
+    period = run << 1
+    block = ((1 << run) - 1) << run
+    return block * (((1 << width) - 1) // ((1 << period) - 1))
 
 
 def subteams(team: int) -> Iterator[int]:

@@ -1,7 +1,8 @@
 """Brute-force team semantics for InqL over a finite variable context.
 
 ``support`` is the reference evaluator: a direct transcription of the
-support clauses, with the implication clause walking every subteam.  The
+support clauses, with the implication clause walking every subteam; its
+goals wait on an explicit stack, so deep formulas need no recursion.  The
 table evaluator computes the full set of supporting teams bottom-up with
 exact mask arithmetic; the implication case quantifies over subteams
 through an up-closure sweep, not through any flatness shortcut.  The two
@@ -42,29 +43,57 @@ def _check_subteam_cap(ctx: Context, what: str):
 
 
 def support(ctx: Context, team: int, phi: InqFormula) -> bool:
-    """S |= phi by direct recursion on the support clauses."""
+    """S |= phi by the support clauses, one generator per connective.
+
+    A clause yields the (formula, team) goals it needs, in order, and is
+    sent back their truth values; it stops at the first goal that
+    settles it.  The goals wait on an explicit stack, so nesting depth
+    costs memory, not recursion, and each goal is decided once (memo).
+    """
     memo: dict[tuple[InqFormula, int], bool] = {}
-
-    def run(f: InqFormula, s: int) -> bool:
-        key = (f, s)
-        if key in memo:
-            return memo[key]
-        if isinstance(f, IVar):
-            out = s & ~ctx.var_team(f.name) == 0
-        elif isinstance(f, IZero):
-            out = s == 0
-        elif isinstance(f, IAnd):
-            out = run(f.left, s) and run(f.right, s)
-        elif isinstance(f, IOr):
-            out = run(f.left, s) or run(f.right, s)
-        elif isinstance(f, IImp):
-            out = all(not run(f.left, sub) or run(f.right, sub) for sub in subteams(s))
+    waiting: list = []  # (goal, its running clause), innermost last
+    goal = (phi, team)
+    while True:
+        value = memo.get(goal)
+        if value is None:
+            f, s = goal
+            cls = type(f)
+            if cls is IVar:
+                value = memo[goal] = s & ~ctx.var_team(f.name) == 0
+            elif cls is IZero:
+                value = memo[goal] = s == 0
+            elif cls in _CLAUSES:
+                waiting.append((goal, _CLAUSES[cls](f, s)))
+            else:
+                raise TypeError(f"not an InqL formula: {f!r}")
+        while waiting:
+            top, clause = waiting[-1]
+            try:
+                goal = clause.send(value)
+                break
+            except StopIteration as done:
+                waiting.pop()
+                value = memo[top] = done.value
         else:
-            raise TypeError(f"not an InqL formula: {f!r}")
-        memo[key] = out
-        return out
+            return value
 
-    return run(phi, team)
+
+def _and_clause(f: IAnd, s: int):
+    return (yield f.left, s) and (yield f.right, s)
+
+
+def _or_clause(f: IOr, s: int):
+    return (yield f.left, s) or (yield f.right, s)
+
+
+def _imp_clause(f: IImp, s: int):
+    for sub in subteams(s):
+        if (yield f.left, sub) and not (yield f.right, sub):
+            return False
+    return True
+
+
+_CLAUSES = {IAnd: _and_clause, IOr: _or_clause, IImp: _imp_clause}
 
 
 def support_table(ctx: Context, phi: InqFormula) -> int:
@@ -75,7 +104,7 @@ def support_table(ctx: Context, phi: InqFormula) -> int:
     def table(f: InqFormula, done: dict) -> int:
         cls = type(f)
         if cls is IVar:
-            return alg.downset(ctx.var_team(f.name))
+            return alg.var_downset(f.name)
         if cls is IZero:
             return 1
         if cls not in binary:

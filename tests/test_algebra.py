@@ -4,10 +4,11 @@ from itertools import product
 import pytest
 
 from inqmt import algebra
-from inqmt.contexts import Context
+from inqmt.contexts import Context, bit_column, subteams
 from inqmt.errors import SizeCapError
 from inqmt.formulas import Cap, Down, FImp, FVar, GOr, flat_join, flat_neg
-from inqmt.parser import parse_general
+from inqmt.parser import parse_general, parse_inql
+from inqmt.teams import support_table
 
 from helpers import rand_flat
 
@@ -177,3 +178,157 @@ def test_downset_enumeration_caps():
     assert len(A2.all_downsets()) == 168
     with pytest.raises(SizeCapError):
         algebra.for_context(Context.of("p,q,r")).all_downsets()
+
+
+# ---------------------------------------------------------------------------
+# The word-parallel kernels against their definitions.
+
+CONTEXTS = {k: Context.of(",".join("pqrs"[:k])) for k in range(5)}
+
+
+def ref_downset_product(team):
+    """The product form: 2^T summed over T <= team is a product of (1 + 2^(2^b))."""
+    mask = 1
+    for b in range(team.bit_length()):
+        if (team >> b) & 1:
+            mask *= 1 + (1 << (1 << b))
+    return mask
+
+
+def ref_downset_subteams(team):
+    return sum(1 << t for t in subteams(team))
+
+
+def members(x):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def ref_f(x):
+    """The member-team union loop."""
+    union = 0
+    for s in members(x):
+        union |= s
+    return union
+
+
+def ref_down_closure(x):
+    """Every subteam of a member."""
+    out = 0
+    for s in members(x):
+        out |= ref_downset_product(s)
+    return out
+
+
+def ref_up_closure(alg, x):
+    """Every superteam of a member: s joined with a subteam of its complement."""
+    out = 0
+    for s in members(x):
+        out |= ref_downset_product(alg.full_team & ~s) << s
+    return out
+
+
+def seeded_masks(alg, rng, count, members_max):
+    for _ in range(count):
+        x = 0
+        for _ in range(rng.randint(0, members_max)):
+            x |= 1 << rng.randrange(alg.n_teams)
+        yield x
+
+
+def test_bit_columns_match_the_per_index_sums():
+    for k, ctx in CONTEXTS.items():
+        for i, v in enumerate(ctx.variables):
+            expected = sum(1 << w for w in range(ctx.n_worlds) if (w >> i) & 1)
+            assert ctx.var_team(v) == expected == bit_column(i, ctx.n_worlds)
+        alg = algebra.for_context(ctx)
+        for b in range(ctx.n_worlds):
+            column = "".join(str((t >> b) & 1) for t in range(ctx.n_teams))
+            assert format(alg._has[b], f"0{ctx.n_teams}b")[::-1] == column
+        assert alg.canonical_assignment() == ctx.var_teams
+        assert alg.canonical_assignment() is not ctx.var_teams
+    with pytest.raises(ValueError):
+        CONTEXTS[2].var_team("r")
+
+
+def test_downset_matches_its_definitions():
+    for k in range(4):
+        alg = algebra.for_context(CONTEXTS[k])
+        for s in alg.all_teams():
+            assert alg.downset(s) == ref_downset_product(s) == ref_downset_subteams(s)
+    alg = algebra.for_context(CONTEXTS[4])
+    rng = random.Random(41)
+    for s in [0, alg.full_team] + [rng.randrange(alg.n_teams) for _ in range(60)]:
+        assert alg.downset(s) == ref_downset_product(s)
+    for v in CONTEXTS[4].variables:
+        assert alg.var_downset(v) == ref_downset_product(CONTEXTS[4].var_team(v))
+    with pytest.raises(ValueError):
+        alg.var_downset("t")
+
+
+def test_f_and_closures_match_their_definitions():
+    def same(alg, x):
+        assert alg.f(x) == ref_f(x)
+        assert alg.down_closure(x) == ref_down_closure(x)
+        assert alg.up_closure(x) == ref_up_closure(alg, x)
+
+    for k in (0, 1):  # every mask
+        alg = algebra.for_context(CONTEXTS[k])
+        for x in range(1 << alg.n_teams):
+            same(alg, x)
+    rng = random.Random(42)
+    alg = algebra.for_context(CONTEXTS[2])
+    for x in alg.all_downsets():  # every down-set, and seeded masks
+        same(alg, x)
+        same(alg, alg.full & ~x)
+    for x in seeded_masks(alg, rng, 200, 16):
+        same(alg, x)
+    for k, count, members_max in ((3, 60, 40), (4, 12, 6)):
+        alg = algebra.for_context(CONTEXTS[k])
+        corners = [0, 1, 1 << alg.full_team, 1 | 1 << alg.full_team]
+        for x in corners + list(seeded_masks(alg, rng, count, members_max)):
+            same(alg, x)
+
+
+def test_downsets_match_the_filter_enumeration():
+    for k in (0, 1, 2):
+        alg = algebra.for_context(CONTEXTS[k])
+        filtered = tuple(x for x in range(1 << alg.n_teams) if alg.is_downward_closed(x))
+        assert alg.all_downsets() == filtered
+
+
+# ---------------------------------------------------------------------------
+# Cost structure, pinned by counting calls.
+
+
+def counting(monkeypatch, name):
+    calls = []
+    method = getattr(algebra.TeamAlgebra, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(algebra.TeamAlgebra, name, counted)
+    return calls
+
+
+def test_support_table_reads_variable_downsets_once_per_context(monkeypatch):
+    ctx = CONTEXTS[4]
+    algebra.for_context(ctx)
+    calls = counting(monkeypatch, "downset")
+    phi = parse_inql(" -> ".join(["(p /\\ q) \\/ (r -> s)"] * 10))
+    table = support_table(ctx, phi)
+    assert calls == []
+    assert table & 1 and table == algebra.for_context(ctx).down_closure(table)
+    with pytest.raises(ValueError):
+        support_table(ctx, parse_inql("p -> t"))
+
+
+def test_downset_enumeration_needs_no_closure(monkeypatch):
+    calls = counting(monkeypatch, "down_closure")
+    algebra._downsets_of.cache_clear()
+    counts = [len(algebra._downsets_of(CONTEXTS[k])) for k in (0, 1, 2)]
+    assert counts == [3, 6, 168] and calls == []

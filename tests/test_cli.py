@@ -123,6 +123,14 @@ def test_deep_nesting_is_a_size_cap_not_a_traceback(tmp_path, capsys):
     assert err.startswith("size cap exceeded") and len(err.strip().splitlines()) == 1
 
 
+def test_deep_eval_runs_without_recursion(capsys):
+    nest = "p -> (" * 10_000 + "{})" + ")" * 9_999
+    code, out, err = run(capsys, "eval", "-V", "p,q", "--team", "{10}", nest.format("p"))
+    assert code == 0 and out.strip() == "true" and err == ""
+    code, out, err = run(capsys, "eval", "-V", "p,q", "--team", "{10}", nest.format("q"))
+    assert code == 1 and out.strip() == "false" and err == ""
+
+
 def test_moderate_nesting_is_read(capsys):
     code, out, err = run(capsys, "valid", "-V", "p", "(" * 200 + "p" + ")" * 200)
     assert code == 1 and out.strip() == "false" and err == ""

@@ -5,7 +5,7 @@ import pytest
 from inqmt import teams
 from inqmt.contexts import Context, subteams
 from inqmt.errors import NotClassicalError, SizeCapError
-from inqmt.formulas import IImp, IOr, IVar, IZERO, enumerate_inql, inq_neg
+from inqmt.formulas import IAnd, IImp, IOr, IVar, IZERO, enumerate_inql, inq_neg
 from inqmt.parser import parse_inql
 
 from helpers import rand_inql
@@ -171,3 +171,20 @@ def test_modus_ponens_preserves_validity():
     rng = random.Random(11)
     for _ in range(80):
         assert teams.check_modus_ponens(P2, rand_inql(rng, 3, ("p", "q")), rand_inql(rng, 3, ("p", "q")))
+
+
+def test_support_decides_each_goal_once(monkeypatch):
+    started = []
+    for cls, clause in list(teams._CLAUSES.items()):
+        def counted(f, s, clause=clause):
+            started.append((f, s))
+            return clause(f, s)
+
+        monkeypatch.setitem(teams._CLAUSES, cls, counted)
+    p, q = IVar("p"), IVar("q")
+    phi = p
+    for _ in range(4):  # valid at every level; as a tree it has 2^4 copies of p
+        phi = IImp(IAnd(phi, q), IOr(phi, q))
+    assert teams.support(P2, P2.full_team, phi)
+    goals, distinct = len(started), len(set(started))
+    assert goals == distinct and goals > 4 * 16
