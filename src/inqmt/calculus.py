@@ -4,11 +4,12 @@ Checking matches every node of a derivation against the schemas
 registered under its rule name; double-line schemas are tried in both
 directions.  The surgical Flat cut searches the consumer premise for an
 antecedent-part occurrence of the cut formula whose replacement by the
-provider's antecedent yields the conclusion.  On top of shape matching,
-every node passes the operational-subterm lint (premise terms are
-subterms of conclusion terms or of the cut formula) and cuts are checked
-for sort-uniform cut-formula occurrences; sequents are type-uniform by
-construction.
+provider's antecedent yields the conclusion.  Shape matching is the
+whole check: the operational-subterm condition C1 (every formula of a
+premise is a subterm of the conclusion or of the cut formula) is proved
+once per schema when the rule table is built (rules._validate_table),
+so every matched node meets it.  Cuts match only sort-uniform
+cut-formula occurrences; sequents are type-uniform by construction.
 
 Auditing interprets each rule instance over the two algebras: a sequent
 holds under an assignment of teams to its variables when the antecedent
@@ -44,7 +45,7 @@ from . import metavars as mv
 from .algebra import TeamAlgebra, for_context
 from .contexts import Context
 from .denote import Compiler, Machine, Polarity, bind, denote
-from .formulas import FVar, FlatFormula, GeneralFormula, subterms, variables
+from .formulas import FVar, FlatFormula, GeneralFormula, variables
 from .rules import FAMILIES, RuleSchema, pseq, rule_table
 from .structures import (
     Derivation,
@@ -58,7 +59,6 @@ from .structures import (
     Sup,
     children,
     iter_paths,
-    operational_terms,
     replace_at,
     side_structure,
     structure_at,
@@ -241,28 +241,11 @@ def _check_node(node: Derivation) -> tuple[Optional[MatchBinding], str, str]:
     return None, f"shape mismatch for {node.rule}", ""
 
 
-def _c1_lint(node: Derivation, m: MatchBinding) -> str | None:
-    """Every operational term of a premise must be a subterm of the
-    conclusion (crossing into Flat through dn) or of the cut formula."""
-    seq = node.conclusion
-    extra = () if m.cut_formula is None else (m.cut_formula,)
-    covered = set(subterms(seq.antecedent, seq.succedent, *extra))
-    for p in node.premises:
-        for t in operational_terms(p.conclusion):
-            if t not in covered:
-                return f"operational term {t} of a premise is not preserved (C1)"
-    return None
-
-
 def check_derivation(d: Derivation) -> CheckResult:
     records: list[NodeRecord] = []
     first_error: tuple | None = None
     for addr, node in d.nodes():
         m, reason, note = _check_node(node)
-        if m is not None:
-            lint = _c1_lint(node, m)
-            if lint is not None:
-                m, reason = None, lint
         if m is None:
             records.append(NodeRecord(addr, node.rule, "error", note=reason))
             if first_error is None:

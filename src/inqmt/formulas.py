@@ -8,10 +8,11 @@ equal terms are the same object, ``==`` is identity and hashing costs
 O(1) at any depth.  The table holds its terms weakly, so a term nobody
 holds leaves it.  Terms are safe to share between concurrent readers.
 
-Trees are read through two explicit-stack walks, so no depth of nesting
+Trees are read through explicit-stack walks, so no depth of nesting
 costs interpreter frames: ``subterms`` yields every distinct subterm
-once, parents first, and ``fold`` computes a value bottom-up from the
-values of each node's parts.
+once, parents first, ``fold`` computes a value bottom-up from the
+values of each node's parts, and ``render`` writes a tree's text, as
+``repr`` of terms and derivations does.
 
 InqL formulas are the source language: a classical core (variables, 0,
 conjunction, implication) extended with inquisitive disjunction.  The
@@ -83,13 +84,38 @@ class Term:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        return render(self, _call_pieces)
 
     def __str__(self) -> str:
         from .parser import print_term  # deferred: the parser imports this module
 
         return print_term(self)
+
+
+def _call_pieces(t: Term) -> list:
+    """The constructor call of t, e.g. FVar(name='p'), with its parts
+    left as terms."""
+    pieces: list = [f"{type(t).__name__}("]
+    for i, f in enumerate(t.__slots__):
+        value = getattr(t, f)
+        pieces += (f"{', ' if i else ''}{f}=", value if isinstance(value, Term) else repr(value))
+    pieces.append(")")
+    return pieces
+
+
+def render(root, pieces) -> str:
+    """The text of root, written with an explicit stack so that no depth
+    recurses: pieces(node) lists the node's text as strings and as nodes
+    rendered in their place."""
+    out: list[str] = []
+    todo = [root]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            todo += reversed(pieces(item))
+    return "".join(out)
 
 
 def subterms(*roots: Term):

@@ -31,12 +31,16 @@ order, conclusion before premises and antecedent before succedent,
 through one table per script from side text to (side, sort): a side is
 read once, and while it is read every operand built by an operator, a
 parenthesis or a wrapper whose exact text is another side of the script
-is stored under that text.  Terms are interned, so a stored operand is
-the very term reading its text would give.  Script-shape errors are
-thus reported before side errors, and of two faulty sides the earlier
-in the text.  Printing a derivation likewise prints each distinct side
-once, premises before conclusions, and a side containing one already
-printed copies its text.
+is stored under that text.  A side not stored so is first assembled,
+if it can be, from sides already read: W(X) from X, and X op Y from X
+and Y for a structural operator op that their binding strengths show
+would not split them differently.  Only the rest is read in full.
+Terms are interned, so a stored or assembled side is the very term
+reading its text would give.  An assembled side could not fail to read,
+so errors come from the reader alone: script-shape errors before side
+errors, and of two faulty sides the earlier in the text.  Printing a
+derivation likewise prints each distinct side once, premises before
+conclusions, and a side containing one already printed copies its text.
 """
 
 from __future__ import annotations
@@ -507,6 +511,32 @@ def print_term(t, texts: dict | None = None) -> str:
 _SEXP_TOKEN_RE = re.compile(r'\s*(?:(\(|\)|"[^"]*"|[A-Za-z][A-Za-z0-9_-]*)|(\S)|\Z)')
 
 
+# wrapper token -> (its sort, constructor, body sort, body a formula)
+_SIDE_WRAPPERS = {
+    tok: (g, build, _SORTS[sort], formula)
+    for g in (FLAT, GENERAL)
+    for tok, (build, sort, formula) in g.wrappers.items()
+}
+# (" op ", sort, binding strength, right-associative, constructor), weakest first
+_STRUCTURAL = sorted(
+    ((f" {tok} ", g, strength, right, build)
+     for g in (FLAT, GENERAL)
+     for tok, (strength, right, build) in g.infix.items()
+     if strength < g.floor),
+    key=lambda row: row[2],
+)
+
+
+def _strength(t) -> int:
+    """A lower bound on the binding strength of the text of t: that of
+    its top constructor's operator row, atoms and wrappers binding
+    tightest.  Sugar and parentheses only make the text bind tighter."""
+    if type(t) in _LIFTS:
+        t = t.formula
+    row = _INFIX_OF.get(type(t))
+    return _PREFIX if row is None else row[1]
+
+
 class _Sides:
     """The side table of one script: every distinct side text, mapped to
     its (side, sort) once read, and the lengths of those texts."""
@@ -518,8 +548,50 @@ class _Sides:
     def side(self, text: str) -> tuple[Structure, Grammar]:
         entry = self.entries[text]
         if entry is None:
-            entry = self.entries[text] = _Reader(text, sides=self).side(EOF)
+            entry = self._assembled(text) or _Reader(text, sides=self).side(EOF)
+            self.entries[text] = entry
         return entry
+
+    def _known(self, text: str, g: Grammar):
+        """The side of sort g already read from text, or None."""
+        entry = self.entries.get(text)
+        return entry[0] if entry is not None and entry[1] is g else None
+
+    def _assembled(self, text: str) -> tuple[Structure, Grammar] | None:
+        """The side of text built from sides already read, when reading
+        text in full would build that very term; None otherwise.
+
+        text is W(X), W a wrapper and X a side of W's body sort (a
+        formula, for dn), or X op Y, op a structural operator and X and Y
+        sides of its sort that op would not split: X binds more tightly
+        than op, or as tightly with op left-associative, and Y likewise
+        with op right-associative, as _strength bounds them.  Read sides
+        are balanced, so op stands between them at the top level; that
+        makes the last occurrence of a left-associative op whose right
+        part is a read side the only one that can split text, and the
+        first of a right-associative op whose left part is."""
+        paren = text.find("(")
+        if paren > 0 and text[-1] == ")" and text[:paren] in _SIDE_WRAPPERS:
+            g, build, body, formula = _SIDE_WRAPPERS[text[:paren]]
+            x = self._known(text[paren + 1 : -1], body)
+            if x is not None and (not formula or type(x) is body.lift):
+                return _Reader.lifted(g, build(x.formula if formula else x)), g
+        for sep, g, strength, right, build in _STRUCTURAL:
+            # as in printing, the operand on the associative side may bind as loosely as op
+            x_min, y_min = (strength + 1, strength) if right else (strength, strength + 1)
+            i = text.find(sep) if right else text.rfind(sep)
+            while i >= 0:
+                j = i + len(sep)
+                if (i if right else len(text) - j) in self.lengths:
+                    near = self._known(text[:i] if right else text[j:], g)
+                    if near is not None:
+                        far = self._known(text[j:] if right else text[:i], g)
+                        x, y = (near, far) if right else (far, near)
+                        if far is not None and _strength(x) >= x_min and _strength(y) >= y_min:
+                            return build(x, y), g
+                        break
+                i = text.find(sep, i + 1) if right else text.rfind(sep, 0, i)
+        return None
 
 
 def parse_derivation(text: str) -> Derivation:

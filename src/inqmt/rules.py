@@ -11,15 +11,20 @@ The surgical Flat cut replaces a marked antecedent-part occurrence of the
 cut formula inside an arbitrary sequent of either sort; it is matched by
 dedicated code in the calculus module, and its single listed premise
 pattern covers only the formula-providing premise.
+
+The table is validated when this module is imported: the conditions a
+checked node must meet beyond its shape, C1 among them, are proved once
+per schema (_validate_table).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .denote import Compiler
+from .formulas import subterms
+from .metavars import is_meta
 from .parser import parse_sequent
-from .structures import Sequent
+from .structures import Sequent, operational_terms
 
 
 @dataclass(frozen=True)
@@ -156,25 +161,34 @@ def lookup(name: str) -> tuple[RuleSchema, ...]:
     return FAMILIES.get(name, ())
 
 
-def pattern_metas(seq: Sequent) -> set:
-    """The metavariables of a pattern sequent."""
-    return set(Compiler(0).add_sequent(seq).leaf_keys)
+def _validate_table(table: tuple[RuleSchema, ...] = _TABLE):
+    """Prove per schema what every node matching it then meets (Belnap,
+    "Display Logic", 1982): each metavariable of a premise pattern occurs
+    in the conclusion pattern, and each formula lifted to a structure in
+    a premise pattern is a subterm of it (C1), in both directions of a
+    double-line schema.  A match substitutes terms for metavariables, so
+    every operational term of a matched node's premises is a subterm of
+    its conclusion.
 
-
-def _validate_table():
-    # parameters of every non-cut schema must appear in the conclusion
-    # (and, for double-line schemas, in the premise as well)
-    for s in _TABLE:
-        if s.name == "Cut":
-            continue
-        concl = pattern_metas(s.conclusion)
-        prem = set()
-        for p in s.premises:
-            prem |= pattern_metas(p)
-        if not prem <= concl:
-            raise AssertionError(f"{s.variant}: premise metavariables {prem - concl} lost")
-        if s.bidirectional and not concl <= prem:
-            raise AssertionError(f"{s.variant}: reverse direction loses {concl - prem}")
+    A cut's cut formula, the formula of its first premise's succedent, is
+    the one exception.  The surgical Flat cut lists only its provider
+    premise; its consumer equals the conclusion off the structural path
+    to the hole and holds the cut formula in the hole, so it meets C1 too.
+    """
+    for s in table:
+        directions = [(s.premises, s.conclusion, "")]
+        if s.bidirectional:
+            directions.append(((s.conclusion,), s.premises[0], "reverse direction: "))
+        cut = (s.premises[0].succedent.formula,) if s.name == "Cut" else ()
+        for premises, conclusion, label in directions:
+            covered = set(subterms(conclusion.antecedent, conclusion.succedent, *cut))
+            for p in premises:
+                metas = [t for t in subterms(p.antecedent, p.succedent) if is_meta(t)]
+                lost = [t for t in metas + operational_terms(p) if t not in covered]
+                if lost:
+                    raise AssertionError(
+                        f"{s.variant}: {label}{lost[0]} of premise {p} is not in the conclusion"
+                    )
 
 
 _validate_table()

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Iterator, Union
 
 from .errors import MixedSortError
-from .formulas import FlatFormula, GeneralFormula, Term, subterms
+from .formulas import FlatFormula, GeneralFormula, Term, render, subterms
 
 
 class Sort(Enum):
@@ -230,6 +230,10 @@ class Derivation:
     def __hash__(self) -> int:
         return hash(tuple(self._shapes()))
 
+    def __repr__(self) -> str:
+        """The dataclass form, rendered without recursion."""
+        return render(self, _derivation_pieces)
+
     def nodes(self) -> Iterator[tuple[tuple[int, ...], "Derivation"]]:
         """All nodes with their tree addresses, root first."""
         yield from preorder(self, lambda d: d.premises)
@@ -245,3 +249,11 @@ class Derivation:
             self, addr, sub, lambda d: d.premises,
             lambda d, kids: Derivation(d.conclusion, d.rule, kids, d.active),
         )
+
+
+def _derivation_pieces(d: Derivation) -> list:
+    pieces: list = [f"Derivation(conclusion={d.conclusion!r}, rule={d.rule!r}, premises=("]
+    for i, p in enumerate(d.premises):
+        pieces += (", ", p) if i else (p,)
+    pieces.append(f"{',' if len(d.premises) == 1 else ''}), active={d.active!r})")
+    return pieces

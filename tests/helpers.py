@@ -1,7 +1,8 @@
 """Bounded random generators shared across the test modules, a
 recursive reference evaluator for denotations, reference searches for
-the audit and for schema soundness, and a node-by-node reference reader
-and printer of derivation scripts."""
+the audit and for schema soundness, the per-node operational-subterm
+lint, and a node-by-node reference reader and printer of derivation
+scripts."""
 
 import random
 from itertools import product
@@ -26,6 +27,7 @@ from inqmt.formulas import (
     IOr,
     IVar,
     IZERO,
+    subterms,
     variables,
 )
 from inqmt.parser import (
@@ -52,6 +54,7 @@ from inqmt.structures import (
     Semi,
     Sequent,
     Sup,
+    operational_terms,
 )
 
 VARS = ("p", "q", "r")
@@ -290,6 +293,25 @@ def ref_schema_counterexample(schema, ctx, cut_contexts):
         for values in product(*(dom for _, dom in domains)):
             if fails(prog, values):
                 return {m.name: v for m, v in zip(metas, values)}
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The operational-subterm condition C1 at one matched node, which the
+# rule table's validation proves for every schema at once.
+
+
+def ref_c1_lint(node, m):
+    """None, or why an operational term of a premise of node is neither
+    a subterm of its conclusion (crossing into Flat through dn) nor of
+    the cut formula of its match m."""
+    seq = node.conclusion
+    extra = () if m.cut_formula is None else (m.cut_formula,)
+    covered = set(subterms(seq.antecedent, seq.succedent, *extra))
+    for p in node.premises:
+        for t in operational_terms(p.conclusion):
+            if t not in covered:
+                return f"operational term {t} of a premise is not preserved (C1)"
     return None
 
 

@@ -1,9 +1,10 @@
 import random
+import sys
 import time
 
 import pytest
 
-from inqmt import calculus, corpus, metavars as mv
+from inqmt import calculus, corpus, metavars as mv, rules
 from inqmt.algebra import for_context
 from inqmt.calculus import (
     AuditNode,
@@ -18,14 +19,29 @@ from inqmt.calculus import (
     _meta_polarities,
 )
 from inqmt.contexts import Context
-from inqmt.derivations import completeness_dne, completeness_kp, id_flat
+from inqmt.cutelim import reduce_all
+from inqmt.derivations import (
+    completeness_dne,
+    completeness_kp,
+    id_flat,
+    id_general,
+    principal_cut_example,
+)
 from inqmt.errors import InqmtError
-from inqmt.formulas import Down, FVar
+from inqmt.formulas import FZERO, Cap, Down, FImp, FVar, GAnd, GImp, GOr
 from inqmt.parser import parse_sequent, parse_structure
-from inqmt.rules import RuleSchema, lookup, rule_table, schema
+from inqmt.rules import RuleSchema, lookup, pseq, rule_table, schema
 from inqmt.structures import Derivation, FlatFml, Sequent, Sort
 
-from helpers import plant_leaf, ref_audit, ref_schema_counterexample, weakening_chain
+from helpers import (
+    plant_leaf,
+    rand_flat,
+    rand_general,
+    ref_audit,
+    ref_c1_lint,
+    ref_schema_counterexample,
+    weakening_chain,
+)
 
 P1 = Context.of("p")
 A1 = for_context(P1)
@@ -289,10 +305,86 @@ def test_surgical_cut_respects_polarity():
 
 
 def test_weakening_chain_checks_in_linear_time():
-    # the C1 lint reads one subterm set per node, the matcher compares
-    # bindings by identity: no step grows with the depth of the chain
+    # C1 is proved once per schema and the matcher compares bindings by
+    # identity, so matching a node costs the same at every depth; only
+    # the node addresses grow with it
     d = weakening_chain(1000)
     start = time.perf_counter()
     result = check_derivation(d)
     assert time.perf_counter() - start < 4
     assert result.ok and len(result.records) == 1000
+
+
+def test_a_10000_node_chain_checks_without_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    d = weakening_chain(10_000)
+    start = time.perf_counter()
+    result = check_derivation(d)
+    assert time.perf_counter() - start < 10
+    assert result.ok and len(result.records) == 10_000
+
+
+def _matched_nodes():
+    """(node, match) at every node that matches a schema, over the corpus,
+    identity derivations, principal cuts and their reductions, hand-made
+    surgical cuts into deep holes, weakening chains and planted breaks."""
+    rng = random.Random(12)
+    derivations = [corpus.load(name) for name in corpus.names()]
+    derivations += [plant_leaf(corpus.load(n), rng) for n in LEMMA_SCRIPTS for _ in range(3)]
+    for _ in range(10):
+        derivations += [id_flat(rand_flat(rng, 4)), id_general(rand_general(rng, 4))]
+    cuts = [FVar("p"), FZERO, Down(rand_flat(rng, 3))]
+    cuts += [shape(rand_flat(rng, 3), rand_flat(rng, 3)) for shape in (Cap, FImp)]
+    cuts += [shape(rand_general(rng, 3), rand_general(rng, 3)) for shape in (GAnd, GOr, GImp)]
+    for formula in cuts:
+        d = principal_cut_example(formula)
+        derivations += [d, reduce_all(d)[0]]
+    provider = Derivation(parse_sequent("q , r |- p"), "Id")
+    for consumer, conclusion in (
+        ("s , (t |> p) |- u", "s , (t |> (q , r)) |- u"),
+        ("Dn(s , p) |- Dn(u)", "Dn(s , (q , r)) |- Dn(u)"),
+        ("s |- p |> u", "s |- (q , r) |> u"),
+    ):
+        consumer = Derivation(parse_sequent(consumer), "Id")
+        derivations.append(Derivation(parse_sequent(conclusion), "Cut", (provider, consumer)))
+    derivations += [weakening_chain(n) for n in (1, 2, 50)]
+    for d in derivations:
+        for _, node in d.nodes():
+            m = calculus._check_node(node)[0]
+            if m is not None:
+                yield node, m
+
+
+def test_c1_holds_at_every_matched_node():
+    matched, holes = 0, set()
+    for node, m in _matched_nodes():
+        assert ref_c1_lint(node, m) is None, node
+        matched += 1
+        if m.schema.surgical:
+            holes.add(m.cut_path)
+    assert matched > 1000 and {("ant",), ("ant", 1, 1), ("ant", 0, 1), ("suc", 0)} <= holes
+
+
+def test_the_rule_table_proves_c1_once_per_schema():
+    rules._validate_table()
+    corrupted = (
+        # a premise formula missing from the conclusion
+        (schema("capL", "capL-bad", ["a & b |- G"], "a , b |- G"), ""),
+        # only the reverse direction of a double-line schema loses it
+        (schema("x", "x-bad", ["a , b |- G"], "a & b |- G", bidirectional=True), "reverse"),
+        # a metavariable missing from the conclusion
+        (schema("W", "W-bad", ["X ; Z |- Y"], "X |- Y"), ""),
+        # cuts: a premise formula that is not the cut formula A
+        (RuleSchema("Cut", "Cut-bad", (pseq("X |- A"), pseq("A /\\ A |- Y")), pseq("X |- Y")), ""),
+        (RuleSchema("Cut", "Cut-lost", (pseq("G , D |- a"),), pseq("G |- a"), surgical=True), ""),
+    )
+    for s, where in corrupted:
+        with pytest.raises(AssertionError, match=f"{s.variant}: {where}"):
+            rules._validate_table((s,))
+    # the reverse-only fault passes forwards
+    rules._validate_table((schema("x", "x-fwd", ["a , b |- G"], "a & b |- G"),))
+    # an instance of a rejected schema breaks C1 at its node
+    premise = Derivation(parse_sequent("p & q |- r"), "Id")
+    node = Derivation(parse_sequent("p , q |- r"), "capL", (premise,))
+    m = calculus.match_rule(corrupted[0][0], node.conclusion, [node.premises[0].conclusion])
+    assert m is not None and "p & q" in ref_c1_lint(node, m)

@@ -94,6 +94,17 @@ def test_printing_is_stable():
     assert str(Cap(FVar("a1"), FImp(FVar("b"), FZERO))) == "a1 & (b ~> 0)"
 
 
+def test_repr_is_the_constructor_call_at_any_depth():
+    t = Cap(FVar("p"), FImp(FVar("q"), FZERO))
+    assert repr(t) == "Cap(left=FVar(name='p'), right=FImp(left=FVar(name='q'), right=FZero()))"
+    assert repr(mv.SMetaG("X")) == "SMetaG(name='X')"
+    n = 10_000
+    deep = FZERO
+    for _ in range(n):
+        deep = FImp(FVar("p"), deep)
+    assert repr(deep) == "FImp(left=FVar(name='p'), right=" * n + "FZero()" + ")" * n
+
+
 def test_equal_terms_are_one_object():
     assert parse_inql("p -> q") is IImp(p, q)
     assert parse_flat("a & ~b") is Cap(FVar("a"), FImp(FVar("b"), FZERO))

@@ -22,6 +22,7 @@ from inqmt.formulas import (
     IVar,
     IZERO,
     flat_neg,
+    formula_size,
     gen_neg,
     subterms,
 )
@@ -326,3 +327,91 @@ def test_script_errors_come_shape_first_then_in_text_order():
         parse_derivation(mixed)
     with pytest.raises(ParseError):
         ref_parse_derivation(mixed)
+
+
+# ---------------------------------------------------------------------------
+# Sides assembled from sides already read: each script reads its parts
+# first, and lists the sides it reads in full.  Everything else is built
+# from the parts, and must be what reading it in full gives.
+
+ASSEMBLY = (
+    # precedence traps: X , Y |> Z is (X , Y) |> Z ...
+    ('(rule "a" (seq "p , q" "r") (rule "b" (seq "p , q |> r" "r")))', ["p , q", "r"]),
+    # ... but X |> Y , Z is X |> (Y , Z), never (X |> Y) , Z
+    ('(rule "a" (seq "p" "q , r") (rule "b" (seq "p |> q , r" "r")))', ["p", "q , r", "r"]),
+    ('(rule "a" (seq "p |> q" "r") (rule "b" (seq "p |> q , r" "r")))',
+     ["p |> q", "r", "p |> q , r"]),
+    # left-associative runs split at their last operator, right-associative at their first
+    ('(rule "a" (seq "dn(p) ; dn(q)" "dn(r)") (rule "b" (seq "dn(p) ; dn(q) ; dn(r)" "Dn(Ph)")))',
+     ["dn(p) ; dn(q)", "dn(r)", "Dn(Ph)"]),
+    ('(rule "a" (seq "dn(p)" "dn(q) ; dn(r)") (rule "b" (seq "dn(p) ; dn(q) ; dn(r)" "Dn(Ph)")))',
+     ["dn(p)", "dn(q) ; dn(r)", "dn(p) ; dn(q) ; dn(r)", "Dn(Ph)"]),
+    ('(rule "a" (seq "dn(p)" "dn(q) > dn(r)") (rule "b" (seq "dn(p) > dn(q) > dn(r)" "Dn(Ph)")))',
+     ["dn(p)", "dn(q) > dn(r)", "Dn(Ph)"]),
+    ('(rule "a" (seq "dn(p) > dn(q)" "dn(r)") (rule "b" (seq "dn(p) > dn(q) > dn(r)" "Dn(Ph)")))',
+     ["dn(p) > dn(q)", "dn(r)", "dn(p) > dn(q) > dn(r)", "Dn(Ph)"]),
+    # sugar binds tighter than its stored connective
+    ('(rule "a" (seq "~p" "q") (rule "b" (seq "~p , q" "q")))', ["~p", "q"]),
+    ('(rule "a" (seq "neg dn(p)" "dn(q)") (rule "b" (seq "neg dn(p) ; dn(q)" "dn(q)")))',
+     ["neg dn(p)", "dn(q)"]),
+    # other spellings are read in full
+    ('(rule "a" (seq "p" "q") (rule "b" (seq "p,q" "q")))', ["p", "q", "p,q"]),
+    ('(rule "a" (seq "p" "q") (rule "b" (seq "(p , q)" "q")))', ["p", "q", "(p , q)"]),
+    # wrappers, dn taking the formula of a lifted side
+    ('(rule "a" (seq "(p , q)" "q") (rule "b" (seq "Dn((p , q))" "Dn(q)")))', ["(p , q)", "q"]),
+    ('(rule "a" (seq "p & q" "F(Dn(p))") (rule "b" (seq "dn(p & q)" "Dn(p)")))',
+     ["p & q", "F(Dn(p))"]),
+    ('(rule "a" (seq "Dn(p)" "Dn(q)") (rule "b" (seq "F(Dn(p))" "q")))', ["Dn(p)", "Dn(q)", "q"]),
+    # wrong sorts are read in full, and fail there
+    ('(rule "a" (seq "p" "q") (rule "b" (seq "F(p)" "q")))', ["p", "q", "F(p)"]),
+    ('(rule "a" (seq "p , q" "r") (rule "b" (seq "dn(p , q)" "dn(r)")))',
+     ["p , q", "r", "dn(p , q)"]),
+    ('(rule "a" (seq "dn(p)" "Dn(Ph)") (rule "b" (seq "Dn(dn(p))" "Dn(Ph)")))',
+     ["dn(p)", "Dn(Ph)", "Dn(dn(p))"]),
+    ('(rule "a" (seq "dn(p)" "Dn(Ph)") (rule "b" (seq "q" "q"))'
+     ' (rule "c" (seq "dn(p) ; q" "Dn(Ph)")))',
+     ["dn(p)", "Dn(Ph)", "q", "dn(p) ; q"]),
+)
+
+
+def _full_reads(monkeypatch) -> list:
+    texts = []
+
+    class Counting(parser._Reader):
+        def __init__(self, text, *args, **kwargs):
+            texts.append(text)
+            super().__init__(text, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "_Reader", Counting)
+    return texts
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except (ParseError, MixedSortError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("script, full", ASSEMBLY)
+def test_sides_are_assembled_only_where_a_full_read_agrees(monkeypatch, script, full):
+    expected = _outcome(ref_parse_derivation, script)
+    texts = _full_reads(monkeypatch)
+    assert _outcome(parse_derivation, script) == expected
+    assert texts == full
+
+
+def test_an_identity_derivation_reads_few_sides_in_full(monkeypatch):
+    rng = random.Random(200)
+    formula = rand_general(rng, 10)
+    while formula_size(formula) < 200:
+        formula = rand_general(rng, 10)
+    d = id_general(formula)
+    text = derivation_to_sexp(d)
+    texts = _full_reads(monkeypatch)
+    assert parse_derivation(text) == d
+    # 425 nodes, 195 distinct sides: the conclusion's antecedent holds every
+    # General side as an operand or as an assembly of operands; the Flat
+    # leaves are read before their parts
+    assert formula_size(formula) == 219 and len(d.conclusion.antecedent.formula.parts) == 2
+    assert texts == [str(formula), "r , p", "r", "p", "Dn(q)", "q", "0 |> p", "0", "Ph"]

@@ -118,3 +118,22 @@ def test_deep_derivations_compare_and_hash_without_recursion():
     # the active path is not compared; shape is
     assert Derivation(a.conclusion, "W", a.premises, ("ant", 0)) == a
     assert Derivation(a.conclusion, "W", a.premises + a.premises) != a
+
+
+def test_derivation_repr_is_the_dataclass_form_at_any_depth():
+    seq = parse_sequent("p |- p")
+    leaf = Derivation(seq, "Id")
+    pair = Derivation(seq, "capR", (leaf, leaf), ("ant",))
+    side = "FlatFml(formula=FVar(name='p'))"
+    text = f"Sequent(antecedent={side}, succedent={side})"
+    leaf_text = f"Derivation(conclusion={text}, rule='Id', premises=(), active=None)"
+    assert repr(leaf) == leaf_text
+    assert repr(pair) == (
+        f"Derivation(conclusion={text}, rule='capR', premises=({leaf_text}, {leaf_text}),"
+        " active=('ant',))"
+    )
+    d = leaf
+    for _ in range(9_999):
+        d = Derivation(seq, "W", (d,))
+    head = f"Derivation(conclusion={text}, rule='W', premises=("
+    assert repr(d) == head * 9_999 + leaf_text + ",), active=None)" * 9_999
