@@ -118,10 +118,6 @@ class TeamAlgebra:
     def top_a(self) -> int:
         return self.full
 
-    @property
-    def bot_a(self) -> int:
-        return 0
-
     # ----------------------------------------------------- enumeration
 
     def all_teams(self) -> range:
@@ -144,11 +140,6 @@ class TeamAlgebra:
         if not isinstance(a, GeneralFormula):
             raise TypeError(f"not a General formula: {a!r}")
         return denote(self, a, Polarity.ANT, assignment)
-
-    def is_flat_algebraic(self, a: GeneralFormula, assignment: dict[str, int]) -> bool:
-        """Lemma-style fixed point: the denotation equals downset(f(.)) of itself."""
-        x = self.denote_general(a, assignment)
-        return x == self.downset(self.f(x))
 
 
 @lru_cache(maxsize=None)

@@ -164,14 +164,19 @@ def cmd_audit(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.fuel < 0:
+        raise _UsageError(f"--fuel must be at least 0, got {args.fuel}")
     d = _load_script(args)
     if not check_derivation(d).ok:
         raise _UsageError("input script does not check; fix it before reducing")
     reduced, report = reduce_all(d, fuel=args.fuel)
     script = derivation_to_sexp(reduced)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(script)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(script)
+        except OSError as e:
+            raise _UsageError(f"cannot write {args.out}: {e}") from None
     payload = {
         "steps": [{"addr": list(s.addr), "formula": s.formula, "note": s.note} for s in report.steps],
         "remaining_cuts": report.remaining_cuts,
@@ -281,8 +286,8 @@ def main(argv=None) -> int:
         print(f"size cap exceeded: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # a safety net: the derivation-script reader and the reference
-        # support evaluator behind eval still recurse once per level
+        # a safety net: the derivation-script reader still recurses once
+        # per node
         print(
             "size cap exceeded: input nests deeper than the recursion limit "
             f"({sys.getrecursionlimit()} frames) allows",

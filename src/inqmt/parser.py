@@ -24,10 +24,15 @@ Derivation scripts are s-expressions, one derivation per UTF-8 file:
 
     (rule "<name>" (seq "<antecedent>" "<succedent>") <premise>*)
 
-A script is read in two phases.  A recursive node reader first checks
-its shape and returns a skeleton (rule name, the two side texts and the
-premises) without reading any side.  The sides are then read in text
-order, conclusion before premises and antecedent before succedent,
+A script is read in two phases.  First its skeleton: one anchored
+pattern reads a node's whole header, or the ')' closing a node, in each
+match, and a reader recursing once per node lists every node's rule
+name, two side texts and number of premises in pre-order, without
+reading any side.  The pattern accepts exactly the scripts a token walk
+does; a script it refuses, or nested too deeply for it, is walked token
+by token, and that walk words the error: an unexpected character
+anywhere, else the first token out of shape.  The sides are then read
+in text order, conclusion before premises and antecedent before succedent,
 through one table per script from side text to (side, sort): a side is
 read once, and while it is read every operand built by an operator, a
 parenthesis or a wrapper whose exact text is another side of the script
@@ -595,16 +600,12 @@ class _Sides:
 
 
 def parse_derivation(text: str) -> Derivation:
-    tokens = _tokenize(text, _SEXP_TOKEN_RE, " in script")
-    root, i = _parse_deriv_node(tokens, 0)
-    if tokens[i][0] != EOF:
-        raise ParseError("unexpected trailing input in script", tokens[i][1])
-    nodes = []  # the skeleton in pre-order, which is text order
-    todo = [root]
-    while todo:
-        node = todo.pop()
-        nodes.append(node)
-        todo.extend(reversed(node[3]))
+    try:
+        nodes = _read_skeleton(text)
+    except (_Refused, RecursionError):
+        nodes = None
+    if nodes is None:  # walked outside the handler, so its errors chain to nothing
+        nodes = _walk_skeleton(text)
     sides = _Sides(side for _, ant, suc, _ in nodes for side in (ant, suc))
     sequents = []
     for _, ant_text, suc_text, _ in nodes:
@@ -615,11 +616,66 @@ def parse_derivation(text: str) -> Derivation:
         sequents.append(Sequent(ant, suc))
     # built backwards, a node's premises are the last ones built, its first on top
     built: list[Derivation] = []
-    for (name, _, _, premises), seq in zip(reversed(nodes), reversed(sequents)):
-        kids = tuple(built.pop() for _ in premises)
+    for (name, _, _, count), seq in zip(reversed(nodes), reversed(sequents)):
+        kids = tuple(built.pop() for _ in range(count))
         built.append(Derivation(seq, name, kids))
     (d,) = built
     return d
+
+
+# A node's header, or the ')' closing a node (group 4).  Tokens are spelled
+# as in _SEXP_TOKEN_RE, and rule and seq must be followed by a string, so
+# rulex is refused: the pattern accepts exactly the scripts the token walk does.
+_SKELETON_RE = re.compile(
+    r'\s*(?:\(\s*rule\s*"([^"]*)"\s*\(\s*seq\s*"([^"]*)"\s*"([^"]*)"\s*\)|(\)))'
+)
+_BLANK_RE = re.compile(r"\s*\Z")
+
+
+class _Refused(Exception):
+    """The skeleton pattern does not match where a node should go on."""
+
+
+def _read_skeleton(text: str) -> list[tuple]:
+    """The skeleton of a script: (rule, antecedent text, succedent text,
+    number of premises) per node, in pre-order, which is text order.
+    Each node costs one match for its header and one for its ')'."""
+    nodes: list = []
+    m = _SKELETON_RE.match(text)
+    if m is None or m.lastindex == 4:
+        raise _Refused
+    end = _read_node(text, m, nodes)
+    if _BLANK_RE.match(text, end) is None:
+        raise _Refused
+    return nodes
+
+
+def _read_node(text: str, header: re.Match, nodes: list) -> int:
+    """Append the node whose header matched, then its premises, to nodes;
+    return where its ')' ends.  It recurses once per node."""
+    at = len(nodes)
+    nodes.append(None)
+    count = 0
+    m = _SKELETON_RE.match(text, header.end())
+    while m is not None and m.lastindex != 4:
+        count += 1
+        m = _SKELETON_RE.match(text, _read_node(text, m, nodes))
+    if m is None:
+        raise _Refused
+    nodes[at] = (*header.group(1, 2, 3), count)
+    return m.end()
+
+
+def _walk_skeleton(text: str) -> list[tuple]:
+    """The skeleton of a script read token by token: slower than
+    _read_skeleton, and what words every script-shape error.  An
+    unexpected character anywhere beats a shape error."""
+    tokens = _tokenize(text, _SEXP_TOKEN_RE, " in script")
+    nodes: list = []
+    i = _parse_deriv_node(tokens, 0, nodes)
+    if tokens[i][0] != EOF:
+        raise ParseError("unexpected trailing input in script", tokens[i][1])
+    return nodes
 
 
 def _expect_tok(tokens, i, want):
@@ -636,9 +692,12 @@ def _string_tok(tokens, i) -> tuple[str, int]:
     return tok[1:-1], i + 1
 
 
-def _parse_deriv_node(tokens, i) -> tuple[tuple, int]:
-    """One node of the script's skeleton: (rule, antecedent text,
-    succedent text, premises).  It recurses once per node."""
+def _parse_deriv_node(tokens, i, nodes: list) -> int:
+    """Append the node starting at token i, then its premises, to nodes as
+    _read_node does; return the index of the token after it.  It
+    recurses once per node."""
+    at = len(nodes)
+    nodes.append(None)
     i = _expect_tok(tokens, i, "(")
     i = _expect_tok(tokens, i, "rule")
     name, i = _string_tok(tokens, i)
@@ -647,12 +706,12 @@ def _parse_deriv_node(tokens, i) -> tuple[tuple, int]:
     ant, i = _string_tok(tokens, i)
     suc, i = _string_tok(tokens, i)
     i = _expect_tok(tokens, i, ")")
-    premises = []
+    count = 0
     while tokens[i][0] == "(":
-        node, i = _parse_deriv_node(tokens, i)
-        premises.append(node)
-    i = _expect_tok(tokens, i, ")")
-    return (name, ant, suc, premises), i
+        i = _parse_deriv_node(tokens, i, nodes)
+        count += 1
+    nodes[at] = (name, ant, suc, count)
+    return _expect_tok(tokens, i, ")")
 
 
 def derivation_to_sexp(d: Derivation) -> str:

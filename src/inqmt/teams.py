@@ -6,9 +6,8 @@ goals wait on an explicit stack, so deep formulas need no recursion.  The
 table evaluator computes the full set of supporting teams bottom-up with
 exact mask arithmetic; the implication case quantifies over subteams
 through an up-closure sweep, not through any flatness shortcut.  The two
-routes are cross-checked against each other (and against the pointwise
-shortcut for flat formulas) by the test suite; validity and entailment
-run on tables.
+routes are cross-checked against each other by the test suite; validity
+and entailment run on tables.
 
 Routines that quantify over subteams of every team are capped at three
 variables; plain team enumeration is capped at four (by the context).
@@ -20,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import algebra
 from .contexts import MAX_VARS_SUBTEAM, Context, subteams
-from .errors import NotClassicalError, SizeCapError
+from .errors import SizeCapError
 from .formulas import (
     IAnd,
     IImp,
@@ -29,8 +28,6 @@ from .formulas import (
     IZero,
     InqFormula,
     fold,
-    inq_neg,
-    is_classical,
 )
 
 
@@ -114,15 +111,6 @@ def support_table(ctx: Context, phi: InqFormula) -> int:
     return fold(phi, table)
 
 
-def support_pointwise(ctx: Context, team: int, phi: InqFormula) -> bool:
-    """The flat fast path: support at every singleton.
-
-    Agrees with ``support`` exactly on flat formulas; kept as a
-    cross-check, never used as the evaluator.
-    """
-    return all(support(ctx, 1 << w, phi) for w in ctx.team_members(team))
-
-
 def valid(ctx: Context, phi: InqFormula) -> bool:
     """Supported by every team over the context."""
     alg = algebra.for_context(ctx)
@@ -170,39 +158,3 @@ def check_disjunction_property(ctx: Context, phi: InqFormula, psi: InqFormula) -
     if not valid(ctx, IOr(phi, psi)):
         return True
     return valid(ctx, phi) or valid(ctx, psi)
-
-
-# ---------------------------------------------------------------------------
-# Semantic validators for the Hilbert-style axioms over InqL.
-
-
-def axiom2_shape(chi: InqFormula, phi: InqFormula, psi: InqFormula) -> InqFormula:
-    """(chi -> (phi \\/ psi)) -> (chi -> phi) \\/ (chi -> psi)."""
-    return IImp(
-        IImp(chi, IOr(phi, psi)),
-        IOr(IImp(chi, phi), IImp(chi, psi)),
-    )
-
-
-def axiom3_shape(chi: InqFormula) -> InqFormula:
-    """~~chi -> chi."""
-    return IImp(inq_neg(inq_neg(chi)), chi)
-
-
-def thm26_axiom2_valid(ctx: Context, chi: InqFormula, phi: InqFormula, psi: InqFormula) -> bool:
-    if not is_classical(chi):
-        raise NotClassicalError(f"axiom 2 requires a classical antecedent: {chi}")
-    return valid(ctx, axiom2_shape(chi, phi, psi))
-
-
-def thm26_axiom3_valid(ctx: Context, chi: InqFormula) -> bool:
-    if not is_classical(chi):
-        raise NotClassicalError(f"axiom 3 requires a classical formula: {chi}")
-    return valid(ctx, axiom3_shape(chi))
-
-
-def check_modus_ponens(ctx: Context, phi: InqFormula, psi: InqFormula) -> bool:
-    """Validity of phi and of phi -> psi forces validity of psi."""
-    if valid(ctx, IImp(phi, psi)) and valid(ctx, phi):
-        return valid(ctx, psi)
-    return True

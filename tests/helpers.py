@@ -1,5 +1,7 @@
-"""Bounded random generators shared across the test modules, a
-recursive reference evaluator for denotations, reference searches for
+"""Bounded random generators shared across the test modules, checks
+that only the tests run (the pointwise support shortcut, the restricted
+Hilbert axioms, modus ponens, the algebraic flatness test), a recursive
+reference evaluator for denotations, reference searches for
 the audit and for schema soundness, the per-node operational-subterm
 lint, and a node-by-node reference reader and printer of derivation
 scripts."""
@@ -8,10 +10,11 @@ import random
 from itertools import product
 
 from inqmt import metavars as mv
+from inqmt import teams
 from inqmt.algebra import for_context
 from inqmt.calculus import AuditNode, AuditReport, AuditViolation, Polarity, _meta_domains
 from inqmt.denote import Compiler, Machine
-from inqmt.errors import InqmtError, ParseError
+from inqmt.errors import InqmtError, NotClassicalError, ParseError
 from inqmt.formulas import (
     Cap,
     Down,
@@ -27,6 +30,8 @@ from inqmt.formulas import (
     IOr,
     IVar,
     IZERO,
+    inq_neg,
+    is_classical,
     subterms,
     variables,
 )
@@ -135,6 +140,54 @@ def weakening_chain(nodes):
         ant = Comma(ant, q)
         d = Derivation(Sequent(ant, p), "W", (d,))
     return d
+
+
+# ---------------------------------------------------------------------------
+# Checks only the tests run
+
+
+def support_pointwise(ctx, team, phi):
+    """The flat fast path: support at every singleton.  Agrees with
+    teams.support exactly on flat formulas."""
+    return all(teams.support(ctx, 1 << w, phi) for w in ctx.team_members(team))
+
+
+def axiom2_shape(chi, phi, psi):
+    """(chi -> (phi \\/ psi)) -> (chi -> phi) \\/ (chi -> psi)."""
+    return IImp(IImp(chi, IOr(phi, psi)), IOr(IImp(chi, phi), IImp(chi, psi)))
+
+
+def axiom3_shape(chi):
+    """~~chi -> chi."""
+    return IImp(inq_neg(inq_neg(chi)), chi)
+
+
+def thm26_axiom2_valid(ctx, chi, phi, psi):
+    if not is_classical(chi):
+        raise NotClassicalError(f"axiom 2 requires a classical antecedent: {chi}")
+    return teams.valid(ctx, axiom2_shape(chi, phi, psi))
+
+
+def thm26_axiom3_valid(ctx, chi):
+    if not is_classical(chi):
+        raise NotClassicalError(f"axiom 3 requires a classical formula: {chi}")
+    return teams.valid(ctx, axiom3_shape(chi))
+
+
+def check_modus_ponens(ctx, phi, psi):
+    """Validity of phi and of phi -> psi forces validity of psi."""
+    if teams.valid(ctx, IImp(phi, psi)) and teams.valid(ctx, phi):
+        return teams.valid(ctx, psi)
+    return True
+
+
+BOT_A = 0  # the least down-set of every algebra: the empty collection of teams
+
+
+def is_flat_algebraic(alg, a, assignment):
+    """Lemma-style fixed point: the denotation equals downset(f(.)) of itself."""
+    x = alg.denote_general(a, assignment)
+    return x == alg.downset(alg.f(x))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,8 @@ from inqmt.rules import rule_table
 from inqmt.structures import FlatFml, Sequent
 from inqmt import metavars as mv
 
+from helpers import axiom2_shape, axiom3_shape
+
 P1 = Context.of("p")
 P2 = Context.of("p,q")
 A1 = algebra.for_context(P1)
@@ -158,7 +160,7 @@ def test_criterion_3_hilbert_validation(oracle_tables):
     for _ in range(50):
         chi = rng.choice(classical_pop)
         phi, psi = rng.choice(POPULATION), rng.choice(POPULATION)
-        direct = teams.valid(P2, teams.axiom2_shape(chi, phi, psi))
+        direct = teams.valid(P2, axiom2_shape(chi, phi, psi))
         via_tables = (
             axiom2_table(oracle_tables[chi], oracle_tables[phi], oracle_tables[psi]) == full
         )
@@ -169,7 +171,7 @@ def test_criterion_3_hilbert_validation(oracle_tables):
     for chi in POPULATION:
         if is_classical(chi):
             continue
-        inst_table = teams.support_table(P2, teams.axiom3_shape(chi))
+        inst_table = teams.support_table(P2, axiom3_shape(chi))
         if inst_table != full:
             missing = next(s for s in P2.teams() if not (inst_table >> s) & 1)
             witness = (chi, P2.team_to_spec(missing))

@@ -82,6 +82,24 @@ def test_reduce(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == corpus.text("cut_cap_after")
 
 
+def test_reduce_refuses_an_unwritable_out_path(tmp_path, capsys):
+    script = tmp_path / "cut.sexp"
+    script.write_text(corpus.text("cut_cap_before"), encoding="utf-8")
+    for out_path in (tmp_path / "missing" / "x.sexp", tmp_path):
+        code, out, err = run(capsys, "reduce", "--script", str(script), "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: cannot write {out_path}") and "Traceback" not in err
+
+
+def test_reduce_rejects_negative_fuel(tmp_path, capsys):
+    script = tmp_path / "cut.sexp"
+    script.write_text(corpus.text("cut_cap_before"), encoding="utf-8")
+    code, out, err = run(capsys, "reduce", "--fuel", "-1", "--script", str(script))
+    assert code == 2 and out == "" and "usage error: --fuel must be at least 0" in err
+    code, _, _ = run(capsys, "reduce", "--fuel", "0", "--script", str(script))
+    assert code == 1
+
+
 def test_selftest_fast(capsys):
     code, out, _ = run(capsys, "selftest", "--level", "fast")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -415,3 +416,105 @@ def test_an_identity_derivation_reads_few_sides_in_full(monkeypatch):
     # leaves are read before their parts
     assert formula_size(formula) == 219 and len(d.conclusion.antecedent.formula.parts) == 2
     assert texts == [str(formula), "r , p", "r", "p", "Dn(q)", "q", "0 |> p", "0", "Ph"]
+
+
+# ---------------------------------------------------------------------------
+# The skeleton: one pattern match per node header, checked against the
+# token walk on seeded mutations of the corpus scripts' s-expressions
+
+
+def _outside(text: str) -> list[int]:
+    """The positions of text outside quoted strings, the quotes included."""
+    inside = set()
+    for m in re.finditer(r'"[^"]*"', text):
+        inside.update(range(m.start() + 1, m.end() - 1))
+    return [i for i in range(len(text)) if i not in inside]
+
+
+def _respace(text: str, space) -> str:
+    """text with each whitespace run outside quoted strings replaced by space()."""
+    return re.sub(r'("[^"]*")|\s+', lambda m: m.group(1) or space(), text)
+
+
+def _word(text: str, rng, word: str, replacement: str) -> str:
+    """text with one occurrence of word outside quoted strings replaced,
+    if there is one."""
+    hits = [m.start() for m in re.finditer(f'"[^"]*"|{re.escape(word)}', text) if m[0] == word]
+    if not hits:
+        return text
+    i = rng.choice(hits)
+    return text[:i] + replacement + text[i + len(word):]
+
+
+SKELETON_CHARS = '() "\n\t@%x-_0r'
+JUNK = (" junk", ")", "(", " @", '"', ' "p"', '(rule "x" (seq "p" "p"))', "\n\t ", "rule")
+
+
+def _mutant(text: str, rng) -> str:
+    kind = rng.randrange(11)
+    spots = _outside(text)
+    at = rng.choice(spots)
+    char = rng.choice(SKELETON_CHARS)
+    if kind == 0:
+        return text[:at] + char + text[at:]
+    if kind == 1:
+        return text[:at] + text[at + 1:]
+    if kind == 2:
+        return text[:at] + char + text[at + 1:]
+    if kind == 3:
+        return _respace(text, lambda: "")
+    if kind == 4:
+        return _respace(text, lambda: rng.choice(("\n", "\t", "\n\t  ", " \r\n", "  ")))
+    if kind == 5:
+        return _word(text, rng, rng.choice(("rule ", "seq ")), rng.choice(("rule", "seq")))
+    if kind == 6:
+        word = rng.choice(("rule", "seq"))
+        return _word(text, rng, word, word + rng.choice(("x", "q", "-", "_", "0")))
+    if kind == 7:
+        return _word(text, rng, ")", "")
+    if kind == 8:
+        return text[:at] + ")" + text[at:]
+    if kind == 9:
+        return text + rng.choice(JUNK)
+    # a shape error, then an unexpected character after it
+    broken = _word(text, rng, "seq", "seqq")
+    at = rng.randrange(max(broken.find("seqq"), 0), len(broken) + 1)
+    return broken[:at] + rng.choice("@%!") + broken[at:]
+
+
+def test_the_skeleton_pattern_accepts_what_the_token_walk_accepts(monkeypatch):
+    rng = random.Random(11)
+    accepted = refused = 0
+    for name in corpus.names():
+        text = corpus.text(name)
+        for _ in range(60):
+            mutant = _mutant(text, rng)
+            if rng.random() < 0.2:
+                mutant = _mutant(mutant, rng)
+            try:
+                walked = parser._walk_skeleton(mutant)
+            except ParseError as e:
+                with pytest.raises(parser._Refused):
+                    parser._read_skeleton(mutant)
+                with pytest.raises(ParseError) as got:
+                    parse_derivation(mutant)
+                assert (got.value.message, got.value.pos) == (e.message, e.pos), mutant
+                refused += 1
+            else:
+                assert parser._read_skeleton(mutant) == walked, mutant
+                accepted += 1
+    assert accepted > 150 and refused > 400
+    # a well-formed script never reaches the token walk
+    monkeypatch.setattr(parser, "_walk_skeleton", None)
+    for name in corpus.names():
+        parse_derivation(corpus.text(name))
+
+
+def test_a_script_too_deep_for_the_pattern_is_walked_token_by_token():
+    text = derivation_to_sexp(weakening_chain(1000))
+    with pytest.raises(RecursionError):
+        parse_derivation(text)
+    # past the recursion limit an unexpected character still wins
+    with pytest.raises(ParseError) as e:
+        parse_derivation(text + "@")
+    assert (e.value.message, e.value.pos) == ("unexpected character '@' in script", len(text))

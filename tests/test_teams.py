@@ -8,7 +8,13 @@ from inqmt.errors import NotClassicalError, SizeCapError
 from inqmt.formulas import IAnd, IImp, IOr, IVar, IZERO, enumerate_inql, inq_neg
 from inqmt.parser import parse_inql
 
-from helpers import rand_inql
+from helpers import (
+    check_modus_ponens,
+    rand_inql,
+    support_pointwise,
+    thm26_axiom2_valid,
+    thm26_axiom3_valid,
+)
 
 P1 = Context.of("p")
 P2 = Context.of("p,q")
@@ -63,8 +69,8 @@ def test_flatness_examples():
 
 def test_valid_examples():
     chi, phi, psi = parse_inql("p"), parse_inql("q"), parse_inql("~q")
-    assert teams.thm26_axiom2_valid(P2, chi, phi, psi)
-    assert teams.thm26_axiom3_valid(P1, parse_inql("~p"))
+    assert thm26_axiom2_valid(P2, chi, phi, psi)
+    assert thm26_axiom3_valid(P1, parse_inql("~p"))
     assert teams.valid(P1, parse_inql("~~p -> p"))
     # the double-negation axiom is restricted to classical formulas:
     # instantiated at the polar question it fails on the full team
@@ -81,9 +87,9 @@ def test_entails_basics():
 
 def test_axiom_validators_require_classical():
     with pytest.raises(NotClassicalError):
-        teams.thm26_axiom2_valid(P2, parse_inql("p \\/ q"), parse_inql("q"), parse_inql("q"))
+        thm26_axiom2_valid(P2, parse_inql("p \\/ q"), parse_inql("q"), parse_inql("q"))
     with pytest.raises(NotClassicalError):
-        teams.thm26_axiom3_valid(P1, parse_inql("?p"))
+        thm26_axiom3_valid(P1, parse_inql("?p"))
 
 
 def test_deduction_theorem():
@@ -136,10 +142,10 @@ def test_pointwise_shortcut_only_safe_on_flat_formulas():
     for text in ["p -> q", "~(p \\/ q)", "p /\\ q"]:
         phi = parse_inql(text)
         for s in P2.teams():
-            assert teams.support(P2, s, phi) == teams.support_pointwise(P2, s, phi)
+            assert teams.support(P2, s, phi) == support_pointwise(P2, s, phi)
     # the polar question separates the two routes on the full team
     phi = parse_inql("?p")
-    assert teams.support_pointwise(P1, P1.full_team, phi)
+    assert support_pointwise(P1, P1.full_team, phi)
     assert not teams.support(P1, P1.full_team, phi)
 
 
@@ -170,7 +176,7 @@ def test_downward_closure_and_empty_team_small():
 def test_modus_ponens_preserves_validity():
     rng = random.Random(11)
     for _ in range(80):
-        assert teams.check_modus_ponens(P2, rand_inql(rng, 3, ("p", "q")), rand_inql(rng, 3, ("p", "q")))
+        assert check_modus_ponens(P2, rand_inql(rng, 3, ("p", "q")), rand_inql(rng, 3, ("p", "q")))
 
 
 def test_support_decides_each_goal_once(monkeypatch):
