@@ -10,11 +10,9 @@ from .calculus import (
     audit_soundness,
     check_derivation,
     check_rule_table_soundness,
-    denote_structure,
     match_name,
     match_rule,
     polarity_of,
-    sequent_holds,
 )
 from .contexts import Context
 from .cutelim import (

@@ -32,7 +32,7 @@ the inputs, both directions of a double-line schema at once; the
 surgical cut is searched per consumer context, as an instance whose
 premises are the provider and the consumer with the cut formula in the
 hole, and whose conclusion is the consumer with the provider's
-antecedent there.  denote_structure and sequent_holds are thin wrappers.
+antecedent there.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Optional
 from . import metavars as mv
 from .algebra import TeamAlgebra, for_context
 from .contexts import Context
-from .denote import Compiler, Machine, Polarity, bind, denote
+from .denote import Compiler, Machine, Polarity
 from .formulas import FVar, FlatFormula, GeneralFormula, variables
 from .rules import FAMILIES, RuleSchema, pseq, rule_table
 from .structures import (
@@ -255,22 +255,6 @@ def check_derivation(d: Derivation) -> CheckResult:
     if first_error is None:
         return CheckResult(True, tuple(records))
     return CheckResult(False, tuple(records), *first_error)
-
-
-# ---------------------------------------------------------------------------
-# Structure denotation: thin wrappers over the compiler (see denote)
-
-
-def denote_structure(s, pol: Polarity, alg: TeamAlgebra, assignment: dict) -> int:
-    """Interpret a structure at a polarity; the assignment maps variable
-    names, or metavariables of a pattern, to their values."""
-    return denote(alg, s, pol, assignment)
-
-
-def sequent_holds(seq: Sequent, alg: TeamAlgebra, assignment: dict) -> bool:
-    """Antecedent denotation included in succedent denotation."""
-    prog = Compiler(alg.full_team).add_sequent(seq).program()
-    return not Machine(alg).fails(prog, bind(prog, assignment))
 
 
 def _compile_sequents(top: int, sequents) -> Compiler:

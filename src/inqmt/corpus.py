@@ -2,7 +2,7 @@
 
 Four flat-collapse scripts (both directions of the conjunction and
 implication cases), the base-case script, the two completeness scripts,
-and four before/after cut-reduction pairs.  The files are the printed
+and eight before/after cut-reduction pairs, one per cut shape.  The files are the printed
 form of the builders in the derivations module; tests pin that equality,
 and the CLI selftest replays everything here through the checker.
 """
@@ -32,6 +32,10 @@ REDUCTION_PAIRS = (
     ("cut_propvar_before", "cut_propvar_after"),
     ("cut_cap_before", "cut_cap_after"),
     ("cut_down_before", "cut_down_after"),
+    ("cut_fimp_before", "cut_fimp_after"),
+    ("cut_gand_before", "cut_gand_after"),
+    ("cut_gor_before", "cut_gor_after"),
+    ("cut_gimp_before", "cut_gimp_after"),
 )
 
 

@@ -1,16 +1,17 @@
 """Principal-cut reduction rewrites.
 
 A cut site is principal when both immediate subderivations end by
-introducing the cut formula in display.  Each reduction rewrites the cut
-node locally: the cut vanishes (constants, variables) or moves to proper
-subformulas of the cut formula; for a cut on dn(alpha) the new cut is a
-Flat cut on alpha placed under the structural Dn, eliminated afterwards
-by the adjunction counit.
+introducing the cut formula in display, by the introduction rules that
+rules.INTRODUCTIONS names for its connective.  Each reduction rewrites
+the cut node locally: the cut vanishes (constants, variables) or moves
+to proper subformulas of the cut formula; for a cut on dn(alpha) the new
+cut is a Flat cut on alpha placed under the structural Dn, eliminated
+afterwards by the adjunction counit.
 
 The conjunction-style reductions displayed here run the residuation
-conversions inside the cut formula's own sort.  Parametric cuts (those
-not principal on both sides) are out of scope and are reported as
-unreduced.
+conversions inside the cut formula's own sort; &, /\\ and \\/ share one
+figure, upside down for \\/.  Parametric cuts (those not principal on
+both sides) are out of scope and are reported as unreduced.
 """
 
 from __future__ import annotations
@@ -19,51 +20,9 @@ from dataclasses import dataclass, field
 
 from .calculus import match_rule
 from .errors import UnsupportedPatternError
-from .formulas import (
-    Cap,
-    Down,
-    FImp,
-    FVar,
-    FZero,
-    GAnd,
-    GImp,
-    GOr,
-    formula_size,
-)
-from .rules import FAMILIES
-from .structures import (
-    Comma,
-    Derivation,
-    DownOf,
-    FOf,
-    FlatFml,
-    GenFml,
-    Gt,
-    Semi,
-    Sequent,
-    Sup,
-)
-
-_RIGHT_INTRO = {
-    FVar: "Id",
-    FZero: "0R",
-    Cap: "capR",
-    FImp: "fimpR",
-    Down: "dnR",
-    GAnd: "andR",
-    GOr: "orR",
-    GImp: "impR",
-}
-_LEFT_INTRO = {
-    FVar: "Id",
-    FZero: "0L",
-    Cap: "capL",
-    FImp: "fimpL",
-    Down: "dnL",
-    GAnd: "andL",
-    GOr: "orL",
-    GImp: "impL",
-}
+from .formulas import Down, FImp, FVar, FZero, GImp, formula_size
+from .rules import FAMILIES, INTRODUCTIONS
+from .structures import Comma, Derivation, DownOf, FOf, Gt, Semi, Sequent, Sup, lift
 
 
 @dataclass(frozen=True)
@@ -96,15 +55,10 @@ def find_cut_sites(d: Derivation) -> list[CutSite]:
         if formula is None:
             continue
         left, right = node.premises
-        wrap = GenFml if not isinstance(formula, (FVar, FZero, Cap, FImp)) else FlatFml
-        left_principal = (
-            left.rule == _RIGHT_INTRO[type(formula)]
-            and left.conclusion.succedent == wrap(formula)
-        )
-        right_principal = (
-            right.rule == _LEFT_INTRO[type(formula)]
-            and right.conclusion.antecedent == wrap(formula)
-        )
+        left_rule, right_rule, _ = INTRODUCTIONS[type(formula)]
+        atom = lift(formula)
+        left_principal = left.rule == right_rule and left.conclusion.succedent == atom
+        right_principal = right.rule == left_rule and right.conclusion.antecedent == atom
         sites.append(CutSite(addr, formula, left_principal, right_principal))
     return sites
 
@@ -121,6 +75,48 @@ def _dd(rule, ant, suc, *prems, active=None):
     return Derivation(Sequent(ant, suc), rule, tuple(prems), active)
 
 
+# the pair structure of a conjunction-like connective -> its sort's
+# residuation rule, arrow structure, the active path of its cuts and the
+# reduction note
+_RESIDUATION = {
+    Comma: ("resF", Sup, ("ant",), "flat-residuation variant of the printed figure"),
+    Semi: ("resG", Gt, None, "delegated case"),
+}
+
+
+def _pair_figure(node: Derivation, formula, pair) -> tuple[Derivation, str]:
+    """The reduction of a cut on &, /\\ or \\/, whose introduction rules
+    join the two parts with the structure pair.  The figure is written
+    for a conjunction, whose two-premise rule is the right one; for \\/,
+    whose two-premise rule is the left one, it is the same figure upside
+    down: every sequent turned around and each cut's premises swapped."""
+    res, arrow, cut_path, note = _RESIDUATION[pair]
+    flip = len(node.premises[1].premises) == 2
+    two, one = node.premises[::-1] if flip else node.premises
+    pi1, pi2 = two.premises
+    (pi3,) = one.premises
+
+    def sides(d: Derivation):
+        s = d.conclusion
+        return (s.succedent, s.antecedent) if flip else (s.antecedent, s.succedent)
+
+    def step(rule, ant, suc, *prems):
+        if flip:
+            ant, suc, prems = suc, ant, prems[::-1]
+        return _dd(rule, ant, suc, *prems, active=cut_path if rule == "Cut" else None)
+
+    a, b = lift(formula.left), lift(formula.right)
+    x, y, z = sides(pi1)[0], sides(pi2)[0], sides(pi3)[1]
+    n = step(res, b, arrow(a, z), pi3)
+    n = step("Cut", y, arrow(a, z), pi2, n)
+    n = step(res, pair(a, y), z, n)
+    n = step("E", pair(y, a), z, n)
+    n = step(res, a, arrow(y, z), n)
+    n = step("Cut", x, arrow(y, z), pi1, n)
+    n = step(res, pair(y, x), z, n)
+    return step("E", pair(x, y), z, n), note
+
+
 def _rewrite(node: Derivation, formula) -> tuple[Derivation, str]:
     left, right = node.premises
     if isinstance(formula, FZero):
@@ -128,25 +124,12 @@ def _rewrite(node: Derivation, formula) -> tuple[Derivation, str]:
     if isinstance(formula, FVar):
         return Derivation(node.conclusion, "Id"), ""
 
-    if isinstance(formula, Cap):
-        a, b = FlatFml(formula.left), FlatFml(formula.right)
-        pi1, pi2 = left.premises
-        (pi3,) = right.premises
-        lam = pi3.conclusion.succedent
-        gamma = pi1.conclusion.antecedent
-        delta = pi2.conclusion.antecedent
-        n = _dd("resF", b, Sup(a, lam), pi3)
-        n = _dd("Cut", delta, Sup(a, lam), pi2, n, active=("ant",))
-        n = _dd("resF", Comma(a, delta), lam, n)
-        n = _dd("E", Comma(delta, a), lam, n)
-        n = _dd("resF", a, Sup(delta, lam), n)
-        n = _dd("Cut", gamma, Sup(delta, lam), pi1, n, active=("ant",))
-        n = _dd("resF", Comma(delta, gamma), lam, n)
-        n = _dd("E", Comma(gamma, delta), lam, n)
-        return n, "flat-residuation variant of the printed figure"
+    pair = INTRODUCTIONS[type(formula)][2]
+    if pair in _RESIDUATION:
+        return _pair_figure(node, formula, pair)
 
     if isinstance(formula, FImp):
-        a, b = FlatFml(formula.left), FlatFml(formula.right)
+        a, b = lift(formula.left), lift(formula.right)
         (pi1,) = left.premises
         pi2, pi3 = right.premises
         gamma = pi1.conclusion.antecedent
@@ -159,7 +142,7 @@ def _rewrite(node: Derivation, formula) -> tuple[Derivation, str]:
         return n, "delegated case, flat-residuation template"
 
     if isinstance(formula, Down):
-        a = FlatFml(formula.body)
+        a = lift(formula.body)
         (pi1,) = left.premises
         (pi2,) = right.premises
         x = pi1.conclusion.antecedent
@@ -169,42 +152,8 @@ def _rewrite(node: Derivation, formula) -> tuple[Derivation, str]:
         n = _dd("d-f elim", x, y, n)
         return n, "cut moves to the Flat body"
 
-    if isinstance(formula, GAnd):
-        a, b = GenFml(formula.left), GenFml(formula.right)
-        pi1, pi2 = left.premises
-        (pi3,) = right.premises
-        z = pi3.conclusion.succedent
-        x = pi1.conclusion.antecedent
-        y = pi2.conclusion.antecedent
-        n = _dd("resG", b, Gt(a, z), pi3)
-        n = _dd("Cut", y, Gt(a, z), pi2, n)
-        n = _dd("resG", Semi(a, y), z, n)
-        n = _dd("E", Semi(y, a), z, n)
-        n = _dd("resG", a, Gt(y, z), n)
-        n = _dd("Cut", x, Gt(y, z), pi1, n)
-        n = _dd("resG", Semi(y, x), z, n)
-        n = _dd("E", Semi(x, y), z, n)
-        return n, "delegated case"
-
-    if isinstance(formula, GOr):
-        a, b = GenFml(formula.left), GenFml(formula.right)
-        (pi1,) = left.premises
-        pi2, pi3 = right.premises
-        z = pi1.conclusion.antecedent
-        x = pi2.conclusion.succedent
-        y = pi3.conclusion.succedent
-        n = _dd("resG", Gt(a, z), b, pi1)
-        n = _dd("Cut", Gt(a, z), y, n, pi3)
-        n = _dd("resG", z, Semi(a, y), n)
-        n = _dd("E", z, Semi(y, a), n)
-        n = _dd("resG", Gt(y, z), a, n)
-        n = _dd("Cut", Gt(y, z), x, n, pi2)
-        n = _dd("resG", z, Semi(y, x), n)
-        n = _dd("E", z, Semi(x, y), n)
-        return n, "delegated case"
-
     if isinstance(formula, GImp):
-        a, b = GenFml(formula.left), GenFml(formula.right)
+        a, b = lift(formula.left), lift(formula.right)
         (pi1,) = left.premises
         pi2, pi3 = right.premises
         z = pi1.conclusion.antecedent

@@ -3,8 +3,11 @@
 Identity derivations exist for every formula of either sort and are the
 building blocks for everything else here: the flat-collapse derivations,
 the two completeness derivations, and the principal-cut examples that
-feed the cut-reduction machinery.  The bundled script corpus is exactly
-the output of these builders (tests pin that equality).
+feed the cut-reduction machinery.  A connective's identity applies its
+two introduction rules, read from rules.INTRODUCTIONS; its principal cut
+joins those two steps, the one ending in the right rule as provider.
+The bundled script corpus is exactly the output of these builders
+(tests pin that equality).
 """
 
 from __future__ import annotations
@@ -23,76 +26,42 @@ from .formulas import (
     GeneralFormula,
     gen_neg,
 )
-from .structures import (
-    Comma,
-    Derivation,
-    DownOf,
-    FOf,
-    FlatFml,
-    FlatStructure,
-    GenFml,
-    GeneralStructure,
-    Gt,
-    PHI,
-    Semi,
-    Sequent,
-    Sup,
-)
-
-
-def fs(x) -> FlatStructure:
-    return FlatFml(x) if isinstance(x, FlatFormula) else x
-
-
-def gs(x) -> GeneralStructure:
-    return GenFml(x) if isinstance(x, GeneralFormula) else x
+from .rules import INTRODUCTIONS, lookup
+from .structures import Comma, Derivation, DownOf, FOf, Gt, PHI, Semi, Sequent, Sup, lift
 
 
 def _d(rule: str, ant, suc, *prems, active=None) -> Derivation:
-    ant = fs(ant) if isinstance(ant, FlatFormula) else gs(ant)
-    suc = fs(suc) if isinstance(suc, FlatFormula) else gs(suc)
-    return Derivation(Sequent(ant, suc), rule, tuple(prems), active)
+    return Derivation(Sequent(lift(ant), lift(suc)), rule, tuple(prems), active)
 
 
 # ---------------------------------------------------------------------------
 # Identity derivations
 
 
-def id_flat(alpha: FlatFormula) -> Derivation:
-    if isinstance(alpha, FVar):
-        return _d("Id", alpha, alpha)
-    if isinstance(alpha, FZero):
-        return _d("0R", alpha, alpha, _d("0L", alpha, PHI))
-    if isinstance(alpha, Cap):
-        l, r = id_flat(alpha.left), id_flat(alpha.right)
-        both = _d("capR", Comma(fs(alpha.left), fs(alpha.right)), alpha, l, r)
-        return _d("capL", alpha, alpha, both)
-    if isinstance(alpha, FImp):
-        l, r = id_flat(alpha.left), id_flat(alpha.right)
-        split = _d("fimpL", alpha, Sup(fs(alpha.left), fs(alpha.right)), l, r)
-        return _d("fimpR", alpha, alpha, split)
-    raise TypeError(f"not a Flat formula: {alpha!r}")
+def identity(f) -> Derivation:
+    """f |- f for a formula of either sort: a binary connective's
+    two-premise rule over the identities of its parts, then its other
+    introduction rule (rules.INTRODUCTIONS)."""
+    if isinstance(f, FVar):
+        return _d("Id", f, f)
+    if isinstance(f, FZero):
+        return _d("0R", f, f, _d("0L", f, PHI))
+    if isinstance(f, Down):
+        return _d("dnR", f, f, _dn_pair(f.body)[1])
+    left, right, pair = INTRODUCTIONS[type(f)]
+    parts = [identity(x) for x in f.parts]
+    built = pair(*map(lift, f.parts))
+    if len(lookup(right)[0].premises) == 2:
+        return _d(left, f, f, _d(right, built, f, *parts))
+    return _d(right, f, f, _d(left, f, built, *parts))
 
 
-def id_general(a: GeneralFormula) -> Derivation:
-    if isinstance(a, Down):
-        base = id_flat(a.body)
-        mon = _d("d mon", DownOf(fs(a.body)), DownOf(fs(a.body)), base)
-        left = _d("dnL", a, DownOf(fs(a.body)), mon)
-        return _d("dnR", a, a, left)
-    if isinstance(a, GAnd):
-        l, r = id_general(a.left), id_general(a.right)
-        both = _d("andR", Semi(gs(a.left), gs(a.right)), a, l, r)
-        return _d("andL", a, a, both)
-    if isinstance(a, GOr):
-        l, r = id_general(a.left), id_general(a.right)
-        split = _d("orL", a, Semi(gs(a.left), gs(a.right)), l, r)
-        return _d("orR", a, a, split)
-    if isinstance(a, GImp):
-        l, r = id_general(a.left), id_general(a.right)
-        split = _d("impL", a, Gt(gs(a.left), gs(a.right)), l, r)
-        return _d("impR", a, a, split)
-    raise TypeError(f"not a General formula: {a!r}")
+def _dn_pair(alpha: FlatFormula) -> tuple[Derivation, Derivation]:
+    """Dn(alpha) |- dn(alpha) by dnR and dn(alpha) |- Dn(alpha) by dnL,
+    both over Dn(alpha) |- Dn(alpha)."""
+    body = DownOf(lift(alpha))
+    mon = _d("d mon", body, body, identity(alpha))
+    return _d("dnR", body, Down(alpha), mon), _d("dnL", Down(alpha), body, mon)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +71,7 @@ def id_general(a: GeneralFormula) -> Derivation:
 
 def lemma_base(alpha: FlatFormula) -> Derivation:
     """dn(alpha) |- dn(alpha)."""
-    return id_general(Down(alpha))
+    return identity(Down(alpha))
 
 
 def lemma_cap_elim(alpha: FlatFormula, beta: FlatFormula) -> Derivation:
@@ -110,43 +79,40 @@ def lemma_cap_elim(alpha: FlatFormula, beta: FlatFormula) -> Derivation:
     cap = Cap(alpha, beta)
 
     def project(keep: FlatFormula, weaken_left: bool) -> Derivation:
-        base = id_flat(keep)
+        base = identity(keep)
         if weaken_left:
-            pair = _d("W", Comma(fs(alpha), fs(beta)), keep, base)
+            pair = _d("W", Comma(lift(alpha), lift(beta)), keep, base)
         else:
-            w = _d("W", Comma(fs(beta), fs(alpha)), keep, base)
-            pair = _d("E", Comma(fs(alpha), fs(beta)), keep, w)
+            w = _d("W", Comma(lift(beta), lift(alpha)), keep, base)
+            pair = _d("E", Comma(lift(alpha), lift(beta)), keep, w)
         packed = _d("capL", cap, keep, pair)
-        mon = _d("d mon", DownOf(fs(cap)), DownOf(fs(keep)), packed)
-        return _d("dnR", DownOf(fs(cap)), Down(keep), mon)
+        mon = _d("d mon", DownOf(lift(cap)), DownOf(lift(keep)), packed)
+        return _d("dnR", DownOf(lift(cap)), Down(keep), mon)
 
     both = _d(
         "andR",
-        Semi(DownOf(fs(cap)), DownOf(fs(cap))),
+        Semi(DownOf(lift(cap)), DownOf(lift(cap))),
         GAnd(Down(alpha), Down(beta)),
         project(alpha, True),
         project(beta, False),
     )
-    contracted = _d("C", DownOf(fs(cap)), GAnd(Down(alpha), Down(beta)), both)
+    contracted = _d("C", DownOf(lift(cap)), GAnd(Down(alpha), Down(beta)), both)
     return _d("dnL", Down(cap), GAnd(Down(alpha), Down(beta)), contracted)
 
 
 def _dn_unpack(alpha: FlatFormula) -> Derivation:
     """F(dn(alpha)) |- alpha, the adjoint unpacking of an embedded formula."""
-    base = id_flat(alpha)
-    mon = _d("d mon", DownOf(fs(alpha)), DownOf(fs(alpha)), base)
-    left = _d("dnL", Down(alpha), DownOf(fs(alpha)), mon)
-    return _d("d adj", FOf(gs(Down(alpha))), alpha, left)
+    return _d("d adj", FOf(lift(Down(alpha))), alpha, _dn_pair(alpha)[1])
 
 
 def lemma_cap_intro(alpha: FlatFormula, beta: FlatFormula) -> Derivation:
     """dn(alpha) /\\ dn(beta) |- dn(alpha & beta)."""
     cap = Cap(alpha, beta)
     da, db = Down(alpha), Down(beta)
-    both = _d("capR", Comma(FOf(gs(da)), FOf(gs(db))), cap, _dn_unpack(alpha), _dn_unpack(beta))
-    fused = _d("f dis", FOf(Semi(gs(da), gs(db))), cap, both)
-    adjoint = _d("d adj", Semi(gs(da), gs(db)), DownOf(fs(cap)), fused)
-    named = _d("dnR", Semi(gs(da), gs(db)), Down(cap), adjoint)
+    both = _d("capR", Comma(FOf(lift(da)), FOf(lift(db))), cap, _dn_unpack(alpha), _dn_unpack(beta))
+    fused = _d("f dis", FOf(Semi(lift(da), lift(db))), cap, both)
+    adjoint = _d("d adj", Semi(lift(da), lift(db)), DownOf(lift(cap)), fused)
+    named = _d("dnR", Semi(lift(da), lift(db)), Down(cap), adjoint)
     return _d("andL", GAnd(da, db), Down(cap), named)
 
 
@@ -154,15 +120,15 @@ def lemma_imp_elim(alpha: FlatFormula, beta: FlatFormula) -> Derivation:
     """dn(alpha ~> beta) |- dn(alpha) => dn(beta)."""
     imp = FImp(alpha, beta)
     da, di = Down(alpha), Down(imp)
-    split = _d("fimpL", imp, Sup(FOf(gs(da)), fs(beta)), _dn_unpack(alpha), id_flat(beta))
-    mon = _d("d mon", DownOf(fs(imp)), DownOf(Sup(FOf(gs(da)), fs(beta))), split)
-    named = _d("dnL", di, DownOf(Sup(FOf(gs(da)), fs(beta))), mon)
-    adjoint = _d("d adj", FOf(gs(di)), Sup(FOf(gs(da)), fs(beta)), named)
-    res = _d("resF", Comma(FOf(gs(da)), FOf(gs(di))), beta, adjoint)
-    fused = _d("f dis", FOf(Semi(gs(da), gs(di))), beta, res)
-    back = _d("d adj", Semi(gs(da), gs(di)), DownOf(fs(beta)), fused)
-    named2 = _d("dnR", Semi(gs(da), gs(di)), Down(beta), back)
-    res2 = _d("resG", gs(di), Gt(gs(da), gs(Down(beta))), named2)
+    split = _d("fimpL", imp, Sup(FOf(lift(da)), lift(beta)), _dn_unpack(alpha), identity(beta))
+    mon = _d("d mon", DownOf(lift(imp)), DownOf(Sup(FOf(lift(da)), lift(beta))), split)
+    named = _d("dnL", di, DownOf(Sup(FOf(lift(da)), lift(beta))), mon)
+    adjoint = _d("d adj", FOf(lift(di)), Sup(FOf(lift(da)), lift(beta)), named)
+    res = _d("resF", Comma(FOf(lift(da)), FOf(lift(di))), beta, adjoint)
+    fused = _d("f dis", FOf(Semi(lift(da), lift(di))), beta, res)
+    back = _d("d adj", Semi(lift(da), lift(di)), DownOf(lift(beta)), fused)
+    named2 = _d("dnR", Semi(lift(da), lift(di)), Down(beta), back)
+    res2 = _d("resG", lift(di), Gt(lift(da), lift(Down(beta))), named2)
     return _d("impR", di, GImp(da, Down(beta)), res2)
 
 
@@ -171,20 +137,13 @@ def lemma_imp_intro(alpha: FlatFormula, beta: FlatFormula) -> Derivation:
     imp = FImp(alpha, beta)
     da, db = Down(alpha), Down(beta)
     gi = GImp(da, db)
-
-    base_a = id_flat(alpha)
-    mon_a = _d("d mon", DownOf(fs(alpha)), DownOf(fs(alpha)), base_a)
-    named_a = _d("dnR", DownOf(fs(alpha)), da, mon_a)
-
-    base_b = id_flat(beta)
-    mon_b = _d("d mon", DownOf(fs(beta)), DownOf(fs(beta)), base_b)
-    named_b = _d("dnL", db, DownOf(fs(beta)), mon_b)
-
-    split = _d("impL", gi, Gt(DownOf(fs(alpha)), DownOf(fs(beta))), named_a, named_b)
-    packed = _d("d dis", gi, DownOf(Sup(fs(alpha), fs(beta))), split)
-    adjoint = _d("d adj", FOf(gs(gi)), Sup(fs(alpha), fs(beta)), packed)
-    arrow = _d("fimpR", FOf(gs(gi)), imp, adjoint)
-    back = _d("d adj", gi, DownOf(fs(imp)), arrow)
+    named_a, _ = _dn_pair(alpha)
+    _, named_b = _dn_pair(beta)
+    split = _d("impL", gi, Gt(DownOf(lift(alpha)), DownOf(lift(beta))), named_a, named_b)
+    packed = _d("d dis", gi, DownOf(Sup(lift(alpha), lift(beta))), split)
+    adjoint = _d("d adj", FOf(lift(gi)), Sup(lift(alpha), lift(beta)), packed)
+    arrow = _d("fimpR", FOf(lift(gi)), imp, adjoint)
+    back = _d("d adj", gi, DownOf(lift(imp)), arrow)
     return _d("dnR", gi, Down(imp), back)
 
 
@@ -199,7 +158,7 @@ def completeness_dne(alpha: FlatFormula) -> Derivation:
     neg2 = gen_neg(neg1)
     zero = FZero()
     d0 = Down(zero)
-    a, ph, z = fs(alpha), PHI, fs(zero)
+    a, ph, z = lift(alpha), PHI, lift(zero)
     sup_a_ph = Sup(a, ph)
 
     t = _d("Id", alpha, alpha)
@@ -215,12 +174,12 @@ def completeness_dne(alpha: FlatFormula) -> Derivation:
     t = _d("d dis", DownOf(sup_a_ph), Gt(DownOf(a), DownOf(z)), t)
     t = _d("resG", Semi(DownOf(a), DownOf(sup_a_ph)), DownOf(z), t)
     t = _d("dnR", Semi(DownOf(a), DownOf(sup_a_ph)), d0, t)
-    t = _d("E", Semi(DownOf(sup_a_ph), DownOf(a)), gs(d0), t)
-    t = _d("resG", DownOf(a), Gt(DownOf(sup_a_ph), gs(d0)), t)
-    t = _d("dnL", da, Gt(DownOf(sup_a_ph), gs(d0)), t)
-    t = _d("resG", Semi(DownOf(sup_a_ph), gs(da)), gs(d0), t)
-    t = _d("E", Semi(gs(da), DownOf(sup_a_ph)), gs(d0), t)
-    t = _d("resG", DownOf(sup_a_ph), Gt(gs(da), gs(d0)), t)
+    t = _d("E", Semi(DownOf(sup_a_ph), DownOf(a)), lift(d0), t)
+    t = _d("resG", DownOf(a), Gt(DownOf(sup_a_ph), lift(d0)), t)
+    t = _d("dnL", da, Gt(DownOf(sup_a_ph), lift(d0)), t)
+    t = _d("resG", Semi(DownOf(sup_a_ph), lift(da)), lift(d0), t)
+    t = _d("E", Semi(lift(da), DownOf(sup_a_ph)), lift(d0), t)
+    t = _d("resG", DownOf(sup_a_ph), Gt(lift(da), lift(d0)), t)
     left = _d("impR", DownOf(sup_a_ph), neg1, t)
 
     r = _d("0L", zero, ph)
@@ -229,57 +188,57 @@ def completeness_dne(alpha: FlatFormula) -> Derivation:
 
     m = _d("impL", neg2, Gt(DownOf(sup_a_ph), DownOf(ph)), left, right)
     m = _d("d dis", neg2, DownOf(Sup(sup_a_ph, ph)), m)
-    m = _d("d adj", FOf(gs(neg2)), Sup(sup_a_ph, ph), m)
-    m = _d("resF", Comma(sup_a_ph, FOf(gs(neg2))), ph, m)
-    m = _d("G", Sup(a, Comma(ph, FOf(gs(neg2)))), ph, m)
-    m = _d("resF", Comma(ph, FOf(gs(neg2))), Comma(a, ph), m)
-    m = _d("Phi", FOf(gs(neg2)), Comma(a, ph), m)
-    m = _d("E", FOf(gs(neg2)), Comma(ph, a), m)
-    m = _d("Phi", FOf(gs(neg2)), a, m)
-    m = _d("d adj", gs(neg2), DownOf(a), m)
+    m = _d("d adj", FOf(lift(neg2)), Sup(sup_a_ph, ph), m)
+    m = _d("resF", Comma(sup_a_ph, FOf(lift(neg2))), ph, m)
+    m = _d("G", Sup(a, Comma(ph, FOf(lift(neg2)))), ph, m)
+    m = _d("resF", Comma(ph, FOf(lift(neg2))), Comma(a, ph), m)
+    m = _d("Phi", FOf(lift(neg2)), Comma(a, ph), m)
+    m = _d("E", FOf(lift(neg2)), Comma(ph, a), m)
+    m = _d("Phi", FOf(lift(neg2)), a, m)
+    m = _d("d adj", lift(neg2), DownOf(a), m)
     return _d("dnR", neg2, da, m)
 
 
 def completeness_kp(alpha: FlatFormula, b: GeneralFormula, c: GeneralFormula) -> Derivation:
     """dn(alpha) => (B \\/ C) |- (dn(alpha) => B) \\/ (dn(alpha) => C)."""
     da = Down(alpha)
-    a = fs(alpha)
+    a = lift(alpha)
     lhs = GImp(da, GOr(b, c))
     ib, ic = GImp(da, b), GImp(da, c)
-    t_ = gs(lhs)
+    t_ = lift(lhs)
     dna = DownOf(a)
-    db_ = Gt(dna, gs(b))
-    dc_ = Gt(dna, gs(c))
+    db_ = Gt(dna, lift(b))
+    dc_ = Gt(dna, lift(c))
 
     p = _d("Id", alpha, alpha)
     p = _d("d mon", dna, dna, p)
     p = _d("dnR", dna, da, p)
-    union = _d("orL", GOr(b, c), Semi(gs(b), gs(c)), id_general(b), id_general(c))
-    premise = _d("impL", lhs, Gt(dna, Semi(gs(b), gs(c))), p, union)
+    union = _d("orL", GOr(b, c), Semi(lift(b), lift(c)), identity(b), identity(c))
+    premise = _d("impL", lhs, Gt(dna, Semi(lift(b), lift(c))), p, union)
     k = _d("KP", lhs, Semi(db_, dc_), premise)
 
     s = _d("resG", Gt(db_, t_), dc_, k)
-    s = _d("resG", Semi(dna, Gt(db_, t_)), gs(c), s)
-    s = _d("E", Semi(Gt(db_, t_), dna), gs(c), s)
-    s = _d("resG", dna, Gt(Gt(db_, t_), gs(c)), s)
-    s = _d("dnL", da, Gt(Gt(db_, t_), gs(c)), s)
-    s = _d("resG", Semi(Gt(db_, t_), gs(da)), gs(c), s)
-    s = _d("E", Semi(gs(da), Gt(db_, t_)), gs(c), s)
-    s = _d("resG", Gt(db_, t_), Gt(gs(da), gs(c)), s)
+    s = _d("resG", Semi(dna, Gt(db_, t_)), lift(c), s)
+    s = _d("E", Semi(Gt(db_, t_), dna), lift(c), s)
+    s = _d("resG", dna, Gt(Gt(db_, t_), lift(c)), s)
+    s = _d("dnL", da, Gt(Gt(db_, t_), lift(c)), s)
+    s = _d("resG", Semi(Gt(db_, t_), lift(da)), lift(c), s)
+    s = _d("E", Semi(lift(da), Gt(db_, t_)), lift(c), s)
+    s = _d("resG", Gt(db_, t_), Gt(lift(da), lift(c)), s)
     s = _d("impR", Gt(db_, t_), ic, s)
-    s = _d("resG", t_, Semi(db_, gs(ic)), s)
-    s = _d("E", t_, Semi(gs(ic), db_), s)
-    s = _d("resG", Gt(gs(ic), t_), db_, s)
-    s = _d("resG", Semi(dna, Gt(gs(ic), t_)), gs(b), s)
-    s = _d("E", Semi(Gt(gs(ic), t_), dna), gs(b), s)
-    s = _d("resG", dna, Gt(Gt(gs(ic), t_), gs(b)), s)
-    s = _d("dnL", da, Gt(Gt(gs(ic), t_), gs(b)), s)
-    s = _d("resG", Semi(Gt(gs(ic), t_), gs(da)), gs(b), s)
-    s = _d("E", Semi(gs(da), Gt(gs(ic), t_)), gs(b), s)
-    s = _d("resG", Gt(gs(ic), t_), Gt(gs(da), gs(b)), s)
-    s = _d("impR", Gt(gs(ic), t_), ib, s)
-    s = _d("resG", t_, Semi(gs(ic), gs(ib)), s)
-    s = _d("E", t_, Semi(gs(ib), gs(ic)), s)
+    s = _d("resG", t_, Semi(db_, lift(ic)), s)
+    s = _d("E", t_, Semi(lift(ic), db_), s)
+    s = _d("resG", Gt(lift(ic), t_), db_, s)
+    s = _d("resG", Semi(dna, Gt(lift(ic), t_)), lift(b), s)
+    s = _d("E", Semi(Gt(lift(ic), t_), dna), lift(b), s)
+    s = _d("resG", dna, Gt(Gt(lift(ic), t_), lift(b)), s)
+    s = _d("dnL", da, Gt(Gt(lift(ic), t_), lift(b)), s)
+    s = _d("resG", Semi(Gt(lift(ic), t_), lift(da)), lift(b), s)
+    s = _d("E", Semi(lift(da), Gt(lift(ic), t_)), lift(b), s)
+    s = _d("resG", Gt(lift(ic), t_), Gt(lift(da), lift(b)), s)
+    s = _d("impR", Gt(lift(ic), t_), ib, s)
+    s = _d("resG", t_, Semi(lift(ic), lift(ib)), s)
+    s = _d("E", t_, Semi(lift(ib), lift(ic)), s)
     return _d("orR", lhs, GOr(ib, ic), s)
 
 
@@ -289,65 +248,31 @@ def completeness_kp(alpha: FlatFormula, b: GeneralFormula, c: GeneralFormula) ->
 
 def principal_cut_example(formula) -> Derivation:
     """A derivation whose last step is a cut, principal on both sides, on
-    the given formula."""
-    if isinstance(formula, FVar):
-        left = _d("Id", formula, formula)
-        right = _d("Id", formula, formula)
-        return _d("Cut", formula, formula, left, right, active=("ant",))
-    if isinstance(formula, FZero):
-        left = _d("0R", formula, formula, _d("0L", formula, PHI))
-        right = _d("0L", formula, PHI)
-        return _d("Cut", formula, PHI, left, right, active=("ant",))
-    if isinstance(formula, Cap):
-        a, b = formula.left, formula.right
-        pair = Comma(fs(a), fs(b))
-        provider = _d("capR", pair, formula, id_flat(a), id_flat(b))
-        inner = _d("capR", pair, formula, id_flat(a), id_flat(b))
-        consumer = _d("capL", formula, formula, inner)
-        return _d("Cut", pair, formula, provider, consumer, active=("ant",))
-    if isinstance(formula, FImp):
-        a, b = formula.left, formula.right
-        split = _d("fimpL", formula, Sup(fs(a), fs(b)), id_flat(a), id_flat(b))
-        provider = _d("fimpR", formula, formula, split)
-        consumer = _d("fimpL", formula, Sup(fs(a), fs(b)), id_flat(a), id_flat(b))
-        return _d("Cut", formula, Sup(fs(a), fs(b)), provider, consumer, active=("ant",))
+    the given formula.  The provider is the step of the formula's
+    identity derivation that ends in its right rule, the consumer the
+    other one; a cut on dn(alpha) has a pair of its own."""
     if isinstance(formula, Down):
-        al = formula.body
-        mon1 = _d("d mon", DownOf(fs(al)), DownOf(fs(al)), id_flat(al))
-        provider = _d("dnR", DownOf(fs(al)), formula, mon1)
-        mon2 = _d("d mon", DownOf(fs(al)), DownOf(fs(al)), id_flat(al))
-        consumer = _d("dnL", formula, DownOf(fs(al)), mon2)
-        return _d("Cut", DownOf(fs(al)), DownOf(fs(al)), provider, consumer)
-    if isinstance(formula, GAnd):
-        a, b = formula.left, formula.right
-        pair = Semi(gs(a), gs(b))
-        provider = _d("andR", pair, formula, id_general(a), id_general(b))
-        inner = _d("andR", pair, formula, id_general(a), id_general(b))
-        consumer = _d("andL", formula, formula, inner)
-        return _d("Cut", pair, formula, provider, consumer)
-    if isinstance(formula, GOr):
-        a, b = formula.left, formula.right
-        pair = Semi(gs(a), gs(b))
-        split = _d("orL", formula, pair, id_general(a), id_general(b))
-        provider = _d("orR", formula, formula, split)
-        consumer = _d("orL", formula, pair, id_general(a), id_general(b))
-        return _d("Cut", formula, pair, provider, consumer)
-    if isinstance(formula, GImp):
-        a, b = formula.left, formula.right
-        arrow = Gt(gs(a), gs(b))
-        split = _d("impL", formula, arrow, id_general(a), id_general(b))
-        provider = _d("impR", formula, formula, split)
-        consumer = _d("impL", formula, arrow, id_general(a), id_general(b))
-        return _d("Cut", formula, arrow, provider, consumer)
-    raise TypeError(f"no principal-cut example for {formula!r}")
+        provider, consumer = _dn_pair(formula.body)
+    else:
+        whole = identity(formula)
+        steps = (whole, whole.premises[0] if whole.premises else whole)
+        provider, consumer = steps if whole.rule == INTRODUCTIONS[type(formula)][1] else steps[::-1]
+    return _d(
+        "Cut",
+        provider.conclusion.antecedent,
+        consumer.conclusion.succedent,
+        provider,
+        consumer,
+        active=("ant",) if isinstance(formula, FlatFormula) else None,
+    )
 
 
 def parametric_cut_example() -> Derivation:
     """A cut that is not left-principal: weakening above the provider."""
     p, q = FVar("p"), FVar("q")
-    provider = _d("W", Comma(fs(p), fs(q)), p, _d("Id", p, p))
+    provider = _d("W", Comma(lift(p), lift(q)), p, _d("Id", p, p))
     consumer = _d("Id", p, p)
-    return _d("Cut", Comma(fs(p), fs(q)), p, provider, consumer, active=("ant",))
+    return _d("Cut", Comma(lift(p), lift(q)), p, provider, consumer, active=("ant",))
 
 
 def corpus_derivations() -> dict[str, Derivation]:
@@ -367,6 +292,10 @@ def corpus_derivations() -> dict[str, Derivation]:
         ("cut_propvar", p),
         ("cut_cap", Cap(p, q)),
         ("cut_down", Down(p)),
+        ("cut_fimp", FImp(p, q)),
+        ("cut_gand", GAnd(Down(p), Down(q))),
+        ("cut_gor", GOr(Down(p), Down(q))),
+        ("cut_gimp", GImp(Down(p), Down(q))),
     ):
         before = principal_cut_example(formula)
         (site,) = find_principal_cuts(before)

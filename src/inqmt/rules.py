@@ -10,7 +10,9 @@ completeness derivations are not checkable without them.
 The surgical Flat cut replaces a marked antecedent-part occurrence of the
 cut formula inside an arbitrary sequent of either sort; it is matched by
 dedicated code in the calculus module, and its single listed premise
-pattern covers only the formula-providing premise.
+pattern covers only the formula-providing premise.  INTRODUCTIONS names
+each connective's two introduction rules, for the derivation builders
+and cut reduction.
 
 The table is validated when this module is imported: the conditions a
 checked node must meet beyond its shape, C1 among them, are proved once
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import subterms
+from .formulas import Cap, Down, FImp, FVar, FZero, GAnd, GImp, GOr, subterms
 from .metavars import is_meta
 from .parser import parse_sequent
-from .structures import Sequent, operational_terms
+from .structures import Comma, Gt, Semi, Sequent, Sup, operational_terms
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,19 @@ def _build_table() -> tuple[RuleSchema, ...]:
 
     return tuple(t)
 
+
+# connective -> (its left rule, its right rule, the structure its
+# two-premise rule builds on the other side of the sequent, or None)
+INTRODUCTIONS = {
+    FVar: ("Id", "Id", None),
+    FZero: ("0L", "0R", None),
+    Cap: ("capL", "capR", Comma),
+    FImp: ("fimpL", "fimpR", Sup),
+    Down: ("dnL", "dnR", None),
+    GAnd: ("andL", "andR", Semi),
+    GOr: ("orL", "orR", Semi),
+    GImp: ("impL", "impR", Gt),
+}
 
 _TABLE = _build_table()
 

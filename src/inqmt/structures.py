@@ -89,6 +89,14 @@ Structure = Union[FlatStructure, GeneralStructure]
 _LIFTS = (FlatFml, GenFml)  # a formula as an atomic structure
 
 
+def lift(t) -> Structure:
+    """A formula as an atomic structure of its own sort; a structure
+    is returned as it is."""
+    if isinstance(t, FlatFormula):
+        return FlatFml(t)
+    return GenFml(t) if isinstance(t, GeneralFormula) else t
+
+
 def structure_sort(s: Structure) -> Sort:
     if isinstance(s, FlatStructure):
         return Sort.FLAT

@@ -12,7 +12,6 @@ from inqmt.calculus import (
     audit_soundness,
     check_derivation,
     check_rule_table_soundness,
-    denote_structure,
     match_name,
     polarity_of,
     schema_soundness_counterexample,
@@ -20,18 +19,18 @@ from inqmt.calculus import (
 )
 from inqmt.contexts import Context
 from inqmt.cutelim import reduce_all
+from inqmt.denote import denote
 from inqmt.derivations import (
     completeness_dne,
     completeness_kp,
-    id_flat,
-    id_general,
+    identity,
     principal_cut_example,
 )
 from inqmt.errors import InqmtError
 from inqmt.formulas import FZERO, Cap, Down, FImp, FVar, GAnd, GImp, GOr
 from inqmt.parser import parse_sequent, parse_structure
 from inqmt.rules import RuleSchema, lookup, pseq, rule_table, schema
-from inqmt.structures import Derivation, FlatFml, Sequent, Sort
+from inqmt.structures import Comma, Derivation, FlatFml, GenFml, Semi, Sequent, Sort, side_structure
 
 from helpers import (
     plant_leaf,
@@ -64,6 +63,34 @@ def test_rule_table_lookups():
         "0L", "0R", "capL", "capR", "fimpL", "fimpR", "orL", "orR",
         "andL", "andR", "impL", "impR", "dnL", "dnR", "resF", "resG",
     }
+
+
+def check_introductions(table):
+    """Each row's left rule introduces its connective in display in the
+    antecedent of its conclusion and its right rule in the succedent; the
+    two-premise rule, if any, builds the row's structure on the other
+    side."""
+    for connective, (left, right, pair) in table.items():
+        introduced = mv.PMeta if connective is FVar else connective
+        for name, side in ((left, "ant"), (right, "suc")):
+            (s,) = lookup(name)
+            principal = side_structure(s.conclusion, side)
+            assert type(principal) in (FlatFml, GenFml), name
+            assert type(principal.formula) is introduced, name
+        two = [s for s in {*lookup(left), *lookup(right)} if len(s.premises) == 2]
+        if pair is None:
+            assert not two, connective
+        else:
+            (s,) = two
+            other = s.conclusion.succedent if s.name == left else s.conclusion.antecedent
+            assert type(other) is pair, s.name
+
+
+def test_introductions_match_the_rule_table():
+    check_introductions(rules.INTRODUCTIONS)
+    for bad in ({Cap: ("capR", "capL", Comma)}, {Cap: ("capL", "capR", Semi)}):
+        with pytest.raises(AssertionError):
+            check_introductions(bad)
 
 
 def test_polarity_examples():
@@ -127,7 +154,7 @@ def test_check_derivation_rejects_bad_shapes():
     assert "shape mismatch" in result.reason
     unknown = Derivation(parse_sequent("p |- p"), "IdX")
     assert "unknown rule" in check_derivation(unknown).reason
-    wrong_arity = Derivation(parse_sequent("p |- p"), "Id", (id_flat(FVar("p")),))
+    wrong_arity = Derivation(parse_sequent("p |- p"), "Id", (identity(FVar("p")),))
     assert "premises" in check_derivation(wrong_arity).reason
 
 
@@ -149,20 +176,20 @@ def test_cut_type_uniformity():
 
 def test_denote_structure_examples():
     assignment = A1.canonical_assignment()
-    phi_ant = denote_structure(parse_sequent("Ph |- p").antecedent, Polarity.ANT, A1, assignment)
+    phi_ant = denote(A1, parse_sequent("Ph |- p").antecedent, Polarity.ANT, assignment)
     assert phi_ant == A1.full_team
-    phi_suc = denote_structure(parse_sequent("p |- Ph").succedent, Polarity.SUC, A1, assignment)
+    phi_suc = denote(A1, parse_sequent("p |- Ph").succedent, Polarity.SUC, assignment)
     assert phi_suc == 0
     fx = parse_sequent("F(dn(p)) |- p").antecedent
     body = A1.denote_general(Down(FVar("p")), assignment)
-    assert denote_structure(fx, Polarity.ANT, A1, assignment) == A1.f(body)
-    assert denote_structure(fx, Polarity.SUC, A1, assignment) == A1.f(body)
+    assert denote(A1, fx, Polarity.ANT, assignment) == A1.f(body)
+    assert denote(A1, fx, Polarity.SUC, assignment) == A1.f(body)
     dn = parse_structure("Dn(p)")
     down_p = A1.downset(P1.var_team("p"))
-    assert denote_structure(dn, Polarity.SUC, A1, assignment) == down_p
-    assert denote_structure(dn, Polarity.ANT, A1, assignment) == down_p
+    assert denote(A1, dn, Polarity.SUC, assignment) == down_p
+    assert denote(A1, dn, Polarity.ANT, assignment) == down_p
     with pytest.raises(InqmtError):
-        denote_structure(parse_structure("Fs(p)"), Polarity.SUC, A1, assignment)
+        denote(A1, parse_structure("Fs(p)"), Polarity.SUC, assignment)
 
 
 def test_audit_interaction_instances():
@@ -332,7 +359,7 @@ def _matched_nodes():
     derivations = [corpus.load(name) for name in corpus.names()]
     derivations += [plant_leaf(corpus.load(n), rng) for n in LEMMA_SCRIPTS for _ in range(3)]
     for _ in range(10):
-        derivations += [id_flat(rand_flat(rng, 4)), id_general(rand_general(rng, 4))]
+        derivations += [identity(rand_flat(rng, 4)), identity(rand_general(rng, 4))]
     cuts = [FVar("p"), FZERO, Down(rand_flat(rng, 3))]
     cuts += [shape(rand_flat(rng, 3), rand_flat(rng, 3)) for shape in (Cap, FImp)]
     cuts += [shape(rand_general(rng, 3), rand_general(rng, 3)) for shape in (GAnd, GOr, GImp)]

@@ -13,7 +13,7 @@ from inqmt.cutelim import (
     reduce_principal_cut,
 )
 from inqmt.derivations import (
-    id_flat,
+    identity,
     parametric_cut_example,
     principal_cut_example,
 )
@@ -47,7 +47,7 @@ def test_find_principal_cuts_examples():
     d = principal_cut_example(FZero())
     (site,) = find_principal_cuts(d)
     assert site.formula == FZero() and site.addr == ()
-    assert find_principal_cuts(id_flat(Cap(p, q))) == []
+    assert find_principal_cuts(identity(Cap(p, q))) == []
     d = principal_cut_example(Cap(p, q))
     (site,) = find_principal_cuts(d)
     assert site.formula == Cap(p, q)
@@ -124,7 +124,7 @@ def test_reduce_all_on_nested_cut_formula():
 
 
 def test_reduce_all_cut_free_is_identity():
-    d = id_flat(Cap(p, q))
+    d = identity(Cap(p, q))
     reduced, report = reduce_all(d)
     assert reduced == d and not report.steps and report.remaining_cuts == 0
 

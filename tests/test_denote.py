@@ -9,7 +9,7 @@ import pytest
 
 from inqmt import corpus, metavars as mv
 from inqmt.algebra import for_context
-from inqmt.calculus import Polarity, audit_soundness, denote_structure, sequent_holds
+from inqmt.calculus import Polarity, audit_soundness
 from inqmt.contexts import Context
 from inqmt.denote import AND, DOWN, Compiler, Machine, denote
 from inqmt.errors import InqmtError
@@ -65,9 +65,9 @@ def test_corpus_nodes_match_reference(alg):
             for _ in range(8):
                 env = {k: rng.randrange(alg.n_teams) for k in prog.leaves}
                 _agree(alg, prog, sequents, env)
-                assert sequent_holds(node.conclusion, alg, env) == ref_sequent_holds(
-                    node.conclusion, alg, env
-                )
+                alone = _compile(alg.full_team, [node.conclusion])
+                holds = not Machine(alg).fails(alone, [env[k] for k in alone.leaves])
+                assert holds == ref_sequent_holds(node.conclusion, alg, env)
             nodes += 1
     assert nodes > 100  # every node of every corpus script
 
@@ -99,9 +99,9 @@ def test_random_structures_match_reference(alg):
                 except InqmtError:
                     raised += 1
                     with pytest.raises(InqmtError):
-                        denote_structure(s, pol, alg, env)
+                        denote(alg, s, pol, env)
                     continue
-                assert denote_structure(s, pol, alg, env) == expected
+                assert denote(alg, s, pol, env) == expected
     assert raised  # Fs in succedent position occurs in the sample
 
 
@@ -126,10 +126,11 @@ def test_fs_in_succedent_raises():
     alg = ALGEBRAS[0]
     env = {"p": 1}
     with pytest.raises(InqmtError):
-        denote_structure(parse_structure("Fs(p)"), Polarity.SUC, alg, env)
+        denote(alg, parse_structure("Fs(p)"), Polarity.SUC, env)
     bad = parse_sequent("Dn(p) |- Fs(p)")
     with pytest.raises(InqmtError):
-        sequent_holds(bad, alg, env)
+        prog = _compile(alg.full_team, [bad])
+        Machine(alg).fails(prog, [env[k] for k in prog.leaves])
     with pytest.raises(InqmtError):
         audit_soundness(Derivation(bad, "Id"), Context.of("p"))
     # a root after a failing premise is never run, so it never raises

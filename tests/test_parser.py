@@ -6,7 +6,7 @@ import pytest
 from inqmt import corpus
 from inqmt import metavars as mv
 from inqmt import parser
-from inqmt.derivations import corpus_derivations, id_flat, id_general, principal_cut_example
+from inqmt.derivations import corpus_derivations, identity, principal_cut_example
 from inqmt.errors import MixedSortError, ParseError
 from inqmt.formulas import (
     Cap,
@@ -235,8 +235,8 @@ HAND_WRITTEN = (
 def _generated_derivations():
     rng = random.Random(8)
     for _ in range(12):
-        yield id_flat(rand_flat(rng, 4))
-        yield id_general(rand_general(rng, 4))
+        yield identity(rand_flat(rng, 4))
+        yield identity(rand_general(rng, 4))
     for n in (1, 2, 7, 40):
         yield weakening_chain(n)
     shapes = (Cap, FImp, GAnd, GOr, GImp)
@@ -407,7 +407,7 @@ def test_an_identity_derivation_reads_few_sides_in_full(monkeypatch):
     formula = rand_general(rng, 10)
     while formula_size(formula) < 200:
         formula = rand_general(rng, 10)
-    d = id_general(formula)
+    d = identity(formula)
     text = derivation_to_sexp(d)
     texts = _full_reads(monkeypatch)
     assert parse_derivation(text) == d
