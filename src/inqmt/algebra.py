@@ -18,7 +18,7 @@ closure step is one AND, one shift and one OR; downset doubles its mask
 once per world of the team; f tests each world's team column once.
 
 Denotations of formulas are computed by the package's one compiler
-(see denote); denote_flat and denote_general are thin wrappers over it.
+(see denote); denote_general is a thin wrapper over it.
 The algebra is built once per context (for_context) and holds that
 context's constants: the per-world team columns and closure masks, and
 the down-set of each variable's team.  The down-sets themselves are
@@ -33,7 +33,7 @@ from functools import lru_cache
 from .contexts import Context, bit_column
 from .denote import Polarity, denote
 from .errors import SizeCapError
-from .formulas import FlatFormula, GeneralFormula
+from .formulas import GeneralFormula
 
 ENUM_MAX_WORLDS = 4  # 168 down-sets over 4 worlds; over 8 there are about 5.6e22
 
@@ -130,11 +130,6 @@ class TeamAlgebra:
 
     def canonical_assignment(self) -> dict[str, int]:
         return dict(self.ctx.var_teams)
-
-    def denote_flat(self, alpha: FlatFormula, assignment: dict[str, int]) -> int:
-        if not isinstance(alpha, FlatFormula):
-            raise TypeError(f"not a Flat formula: {alpha!r}")
-        return denote(self, alpha, Polarity.ANT, assignment)
 
     def denote_general(self, a: GeneralFormula, assignment: dict[str, int]) -> int:
         if not isinstance(a, GeneralFormula):

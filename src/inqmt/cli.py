@@ -226,25 +226,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formula=False, script=False, needs_v=False):
+    def common(p, formula=False, script=False):
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("-V", dest="vars", default="", help="comma-separated variables, order-significant")
         if formula:
             p.add_argument("formula", help="formula in the ASCII syntax")
         if script:
             p.add_argument("--script", required=False, help="derivation script path")
 
+    def variables(p):
+        """-V, on the commands that read a variable context."""
+        p.add_argument("-V", dest="vars", default="", help="comma-separated variables, order-significant")
+
     p = sub.add_parser("eval", help="team support for a formula")
     common(p, formula=True)
+    variables(p)
     p.add_argument("--team", help="braced team spec, e.g. {10,01}")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("valid", help="validity over all teams")
     common(p, formula=True)
+    variables(p)
     p.set_defaults(func=cmd_valid)
 
     p = sub.add_parser("flat", help="flatness report")
     common(p, formula=True)
+    variables(p)
     p.set_defaults(func=cmd_flat)
 
     p = sub.add_parser("translate", help="translate InqL into the two-sorted language")
@@ -257,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="semantic soundness audit of a script")
     common(p, script=True)
+    variables(p)
     p.add_argument("--samples", type=int, default=10_000, help="samples when not exhaustive")
     p.set_defaults(func=cmd_audit)
 

@@ -294,18 +294,30 @@ def gen_neg(a: GeneralFormula) -> GeneralFormula:
 # exhaustive semantic suites.  Height counts atoms as 1.
 
 
+def iter_inql(variables: tuple[str, ...], max_height: int):
+    """The formulas of height at most max_height, one level after the
+    next: the atoms, then every connective over two formulas below the
+    level, at least one of them from the level just before.  Only the
+    levels below the last are held; the last is yielded as it is built."""
+    level: Iterable[InqFormula] = (*(IVar(v) for v in variables), IZERO)
+    below: tuple[InqFormula, ...] = ()
+    for height in range(2, max_height + 1):
+        yield from level
+        below += level
+        level = _next_level(below, frozenset(level))
+        if height < max_height:
+            level = tuple(level)
+    yield from level
+
+
+def _next_level(below: tuple[InqFormula, ...], prev: frozenset):
+    for op in (IAnd, IImp, IOr):
+        for l in below:
+            for r in below:
+                if l in prev or r in prev:
+                    yield op(l, r)
+
+
 @lru_cache(maxsize=None)
 def enumerate_inql(variables: tuple[str, ...], max_height: int) -> tuple[InqFormula, ...]:
-    atoms: tuple[InqFormula, ...] = tuple(IVar(v) for v in variables) + (IZERO,)
-    levels: list[tuple[InqFormula, ...]] = [atoms]
-    for height in range(2, max_height + 1):
-        below = tuple(f for level in levels for f in level)
-        prev = set(levels[-1])
-        fresh = []
-        for op in (IAnd, IImp, IOr):
-            for l in below:
-                for r in below:
-                    if l in prev or r in prev:
-                        fresh.append(op(l, r))
-        levels.append(tuple(fresh))
-    return tuple(f for level in levels for f in level)
+    return tuple(iter_inql(variables, max_height))

@@ -95,7 +95,11 @@ _CLAUSES = {IAnd: _and_clause, IOr: _or_clause, IImp: _imp_clause}
 
 def support_table(ctx: Context, phi: InqFormula) -> int:
     """Mask over all teams: bit S set iff S |= phi."""
-    alg = algebra.for_context(ctx)
+    return fold(phi, table_step(algebra.for_context(ctx)))
+
+
+def table_step(alg: algebra.TeamAlgebra):
+    """The node step of support_table: a node's table from its parts'."""
     binary = {IAnd: int.__and__, IOr: int.__or__, IImp: alg.heyting}
 
     def table(f: InqFormula, done: dict) -> int:
@@ -108,7 +112,7 @@ def support_table(ctx: Context, phi: InqFormula) -> int:
             raise TypeError(f"not an InqL formula: {f!r}")
         return binary[cls](done[f.left], done[f.right])
 
-    return fold(phi, table)
+    return table
 
 
 def valid(ctx: Context, phi: InqFormula) -> bool:

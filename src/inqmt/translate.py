@@ -6,15 +6,14 @@ through ``tau_c`` under a single dn.  ``flatten`` is the classical
 rewrite of inquisitive disjunction, and ``collapse_to_flat`` inverts dn
 on the disjunction-free General fragment.
 
-The multi-type Hilbert axioms are provided as shape builders together
-with semantic validators (denotation equal to the top of the appropriate
-algebra); there is no Hilbert proof object here, the calculus is the
-proof system of this package.
+The multi-type Hilbert axioms are provided as shape builders; the full
+selftest checks that their instances denote the top of their sort.
+There is no Hilbert proof object here, the calculus is the proof system
+of this package.
 """
 
 from __future__ import annotations
 
-from .algebra import TeamAlgebra
 from .errors import NotClassicalError
 from .formulas import (
     Cap,
@@ -158,31 +157,3 @@ def a4_instance(alpha: FlatFormula) -> GeneralFormula:
     """neg neg dn(alpha) => dn(alpha)."""
     d = Down(alpha)
     return GImp(gen_neg(gen_neg(d)), d)
-
-
-def flat_denotes_top(alg: TeamAlgebra, alpha: FlatFormula, assignment: dict[str, int]) -> bool:
-    return alg.denote_flat(alpha, assignment) == alg.full_team
-
-
-def general_denotes_top(alg: TeamAlgebra, a: GeneralFormula, assignment: dict[str, int]) -> bool:
-    return alg.denote_general(a, assignment) == alg.top_a
-
-
-def flat_mp_preserves_top(
-    alg: TeamAlgebra, alpha: FlatFormula, beta: FlatFormula, assignment: dict[str, int]
-) -> bool:
-    if flat_denotes_top(alg, FImp(alpha, beta), assignment) and flat_denotes_top(
-        alg, alpha, assignment
-    ):
-        return flat_denotes_top(alg, beta, assignment)
-    return True
-
-
-def general_mp_preserves_top(
-    alg: TeamAlgebra, a: GeneralFormula, b: GeneralFormula, assignment: dict[str, int]
-) -> bool:
-    if general_denotes_top(alg, GImp(a, b), assignment) and general_denotes_top(
-        alg, a, assignment
-    ):
-        return general_denotes_top(alg, b, assignment)
-    return True

@@ -5,6 +5,7 @@ import pytest
 
 from inqmt import algebra
 from inqmt.contexts import Context, bit_column, subteams
+from inqmt.denote import ANT, denote
 from inqmt.errors import SizeCapError
 from inqmt.formulas import Cap, Down, FImp, FVar, GOr, flat_join, flat_neg
 from inqmt.parser import parse_general, parse_inql
@@ -146,9 +147,9 @@ def test_denotation_examples():
     rng = random.Random(13)
     for _ in range(80):
         a, b = rand_flat(rng, 2, ("p", "q")), rand_flat(rng, 2, ("p", "q"))
-        da = A2.denote_flat(a, assignment)
-        db = A2.denote_flat(b, assignment)
-        assert A2.denote_flat(flat_join(a, b), assignment) == da | db
+        da = denote(A2, a, ANT, assignment)
+        db = denote(A2, b, ANT, assignment)
+        assert denote(A2, flat_join(a, b), ANT, assignment) == da | db
         assert A2.denote_general(Down(Cap(a, b)), assignment) == A2.downset(da) & A2.downset(db)
         assert A2.denote_general(Down(FImp(a, b)), assignment) == A2.heyting(
             A2.downset(da), A2.downset(db)
@@ -158,7 +159,7 @@ def test_denotation_examples():
 
 def test_denote_unknown_variable():
     with pytest.raises(ValueError):
-        A2.denote_flat(FVar("zz"), A2.canonical_assignment())
+        denote(A2, FVar("zz"), ANT, A2.canonical_assignment())
 
 
 def test_is_flat_algebraic():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -106,6 +107,56 @@ def test_selftest_fast(capsys):
     assert "result: all suites pass" in out
     assert "corpus replay" in out
     assert all(line.endswith(" s)") for line in out.splitlines() if line.startswith("PASS"))
+
+
+# every suite of selftest --level full and what it covers
+FULL_SUITES = [
+    ("adjunction |V|=1", "24 pairs, both laws"),
+    ("downset properties |V|=1", "4 teams, 6 down-sets"),
+    ("KP inclusion |V|=1", "144 distinct triples covering 216 principal triples"),
+    ("coimp residuation |V|=1", "216 triples"),
+    ("rule-table soundness |V|=1", "all schemas, both directions"),
+    ("corpus replay", "23 scripts, 7 lemma/appendix"),
+    ("corpus audit |V|=1", "7 scripts, 129 nodes, 2415 assignments, exhaustive, no violations"),
+    ("adjunction |V|=2", "2688 pairs, both laws"),
+    ("downset properties |V|=2", "16 teams, 168 down-sets"),
+    ("KP inclusion |V|=2", "451584 distinct triples covering 4741632 principal triples"),
+    ("corpus audit |V|=2", "7 scripts, 129 nodes, 112179 assignments, exhaustive, no violations"),
+    ("population semantics", "2703 formulas, 30 distinct tables"),
+    ("multi-type axioms", "1008 instantiations at |V|=2"),
+    ("cut reductions", "100 randomized principal cuts"),
+]
+
+
+def test_selftest_full(capsys):
+    code, out, _ = run(capsys, "selftest", "--level", "full")
+    assert code == 0
+    *lines, last = out.splitlines()
+    assert last == "result: all suites pass"
+    assert [re.sub(r" \(\d+\.\d\d s\)$", "", line) for line in lines] == [
+        f"PASS  {name}: {detail}" for name, detail in FULL_SUITES
+    ]
+    code, out, _ = run(capsys, "selftest", "--level", "full", "--json")
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert [(s["name"], s["ok"], s["detail"]) for s in suites] == [
+        (name, True, detail) for name, detail in FULL_SUITES
+    ]
+
+
+def test_v_only_where_it_is_read(tmp_path, capsys):
+    script = tmp_path / "kp.sexp"
+    script.write_text(corpus.text("appendix_kp"), encoding="utf-8")
+    for argv in (
+        ("selftest",),
+        ("translate", "p"),
+        ("check", "--script", str(script)),
+        ("reduce", "--script", str(script)),
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        code, out, err = run(capsys, *argv, "-V", "p,q")
+        assert code == 2 and out == "" and "unrecognized arguments: -V p,q" in err, argv
 
 
 def test_usage_errors(capsys):

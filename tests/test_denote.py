@@ -79,7 +79,6 @@ def test_random_formulas_match_reference(alg):
         env = {v: rng.randrange(alg.n_teams) for v in ("p", "q", "r")}
         alpha = rand_flat(rng, 4)
         a = rand_general(rng, 4)
-        assert alg.denote_flat(alpha, env) == ref_formula(alpha, alg, env)
         assert alg.denote_general(a, env) == ref_formula(a, alg, env)
         for pol in POLARITIES:
             assert denote(alg, alpha, pol, env) == ref_formula(alpha, alg, env)
@@ -153,7 +152,7 @@ def test_deep_formula_compiles_without_recursion():
         alpha = Cap(FVar("q"), alpha)
     alg = ALGEBRAS[1]
     env = {"p": 0b1011, "q": 0b0111}
-    assert alg.denote_flat(alpha, env) == 0b0011
+    assert denote(alg, alpha, Polarity.ANT, env) == 0b0011
 
 
 class CountedDomain(list):

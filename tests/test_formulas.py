@@ -26,6 +26,7 @@ from inqmt.formulas import (
     inq_neg,
     inq_question,
     is_classical,
+    iter_inql,
     subterms,
     variables,
 )
@@ -60,6 +61,20 @@ def test_enumerate_inql_counts():
     pop = enumerate_inql(("p", "q"), 3)
     assert len(pop) == 2703
     assert len(set(pop)) == 2703
+
+
+def test_iter_inql_yields_parts_first():
+    """The population suite keeps values for the formulas below the last
+    level only; it relies on each formula's parts coming before it and
+    lying below that level."""
+    below = set(enumerate_inql(("p", "q"), 2))
+    stream = iter_inql(("p", "q"), 3)
+    seen = set()
+    for phi in stream:
+        assert all(k in seen and k in below for k in phi.parts), phi
+        seen.add(phi)
+    assert len(seen) == 2703
+    assert tuple(iter_inql(("p",), 1)) == enumerate_inql(("p",), 1) == (IVar("p"), IZERO)
 
 
 def test_variables_and_size():

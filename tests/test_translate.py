@@ -4,6 +4,7 @@ import pytest
 
 from inqmt import algebra, teams, translate
 from inqmt.contexts import Context
+from inqmt.denote import ANT, denote
 from inqmt.errors import NotClassicalError
 from inqmt.formulas import (
     Cap,
@@ -11,6 +12,7 @@ from inqmt.formulas import (
     FImp,
     FVar,
     FZERO,
+    FlatFormula,
     GAnd,
     GImp,
     GOr,
@@ -100,14 +102,21 @@ def test_translation_adequacy_bounded():
 def test_multi_type_axioms_sampled():
     rng = random.Random(23)
     assignment = A2.canonical_assignment()
+
+    def top(t):
+        """Whether t denotes the top of its sort."""
+        full = A2.full_team if isinstance(t, FlatFormula) else A2.top_a
+        return denote(A2, t, ANT, assignment) == full
+
     for _ in range(120):
         al, be, ga = (rand_flat(rng, 2, PQ) for _ in range(3))
         a, b, c = (rand_general(rng, 2, PQ) for _ in range(3))
         for inst in translate.a1_instances(al, be, ga):
-            assert translate.flat_denotes_top(A2, inst, assignment), inst
+            assert isinstance(inst, FlatFormula) and top(inst), inst
         for inst in translate.a2_instances(a, b, c):
-            assert translate.general_denotes_top(A2, inst, assignment), inst
-        assert translate.general_denotes_top(A2, translate.a3_instance(al, a, b), assignment)
-        assert translate.general_denotes_top(A2, translate.a4_instance(al), assignment)
-        assert translate.flat_mp_preserves_top(A2, al, be, assignment)
-        assert translate.general_mp_preserves_top(A2, a, b, assignment)
+            assert not isinstance(inst, FlatFormula) and top(inst), inst
+        assert top(translate.a3_instance(al, a, b))
+        assert top(translate.a4_instance(al))
+        # modus ponens preserves the top in both sorts
+        assert not (top(FImp(al, be)) and top(al)) or top(be)
+        assert not (top(GImp(a, b)) and top(a)) or top(b)
