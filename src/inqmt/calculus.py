@@ -44,7 +44,7 @@ from typing import Optional
 from . import metavars as mv
 from .algebra import TeamAlgebra, for_context
 from .contexts import Context
-from .denote import Compiler, Machine, Polarity
+from .denote import _BINARY, Compiler, Machine, Polarity
 from .formulas import FVar, FlatFormula, GeneralFormula, variables
 from .rules import FAMILIES, RuleSchema, pseq, rule_table
 from .structures import (
@@ -52,11 +52,9 @@ from .structures import (
     FlatFml,
     FlatStructure,
     GeneralStructure,
-    Gt,
     Path,
     Sequent,
     Sort,
-    Sup,
     children,
     iter_paths,
     replace_at,
@@ -68,8 +66,9 @@ from .structures import (
 def polarity_of(seq: Sequent, path: Path) -> Polarity:
     """Polarity of the occurrence addressed by path.
 
-    Comma, semicolon, and the unary connectives preserve the parent
-    polarity; the two arrow connectives flip it in their first coordinate.
+    A step into an operand keeps the parent polarity, except where the
+    denotation table (denote._BINARY) reads the operand at the other
+    polarity: the first coordinate of the two arrow connectives.
     """
     if path[0] not in ("ant", "suc"):
         raise ValueError(f"path must start with 'ant' or 'suc': {path!r}")
@@ -79,7 +78,8 @@ def polarity_of(seq: Sequent, path: Path) -> Polarity:
         kids = children(s)
         if step >= len(kids):
             raise ValueError(f"invalid path {path!r} at {s}")
-        if isinstance(s, (Sup, Gt)) and step == 0:
+        shape = _BINARY.get(type(s))
+        if step == 0 and shape is not None and shape[2]:
             pol = Polarity.SUC if pol is Polarity.ANT else Polarity.ANT
         s = kids[step]
     return pol

@@ -25,7 +25,6 @@ stored; the parser module prints every sort.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 from weakref import ref
 
@@ -318,6 +317,5 @@ def _next_level(below: tuple[InqFormula, ...], prev: frozenset):
                     yield op(l, r)
 
 
-@lru_cache(maxsize=None)
 def enumerate_inql(variables: tuple[str, ...], max_height: int) -> tuple[InqFormula, ...]:
     return tuple(iter_inql(variables, max_height))

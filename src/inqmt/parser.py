@@ -28,18 +28,18 @@ A script is read in two phases.  First its skeleton: one anchored
 pattern reads a node's whole header, or the ')' closing a node, in each
 match, and a reader recursing once per node lists every node's rule
 name, two side texts and number of premises in pre-order, without
-reading any side.  The pattern accepts exactly the scripts a token walk
-does; a script it refuses, or nested too deeply for it, is walked token
-by token, and that walk words the error: an unexpected character
-anywhere, else the first token out of shape.  The sides are then read
-in text order, conclusion before premises and antecedent before succedent,
-through one table per script from side text to (side, sort): a side is
-read once, and while it is read every operand built by an operator, a
-parenthesis or a wrapper whose exact text is another side of the script
-is stored under that text.  A side not stored so is first assembled,
-if it can be, from sides already read: W(X) from X, and X op Y from X
-and Y for a structural operator op that their binding strengths show
-would not split them differently.  Only the rest is read in full.
+reading any side.  Only a script the pattern stops on is tokenized, to
+word the error: an unexpected character anywhere, else the first token
+where it stopped that is out of the shape of a header, a ')' or the end.
+The sides are then read in text order, conclusion before premises and
+antecedent before succedent, through one table per script from side
+text to (side, sort): a side is read once, and while it is read every
+operand built by an operator, a parenthesis or a wrapper whose exact
+text is another side of the script is stored under that text.  A side
+not stored so is first assembled, if it can be, from sides already
+read: W(X) from X, and X op Y from X and Y for a structural operator op
+that their binding strengths show would not split them differently.
+Only the rest is read in full.
 Terms are interned, so a stored or assembled side is the very term
 reading its text would give.  An assembled side could not fail to read,
 so errors come from the reader alone: script-shape errors before side
@@ -51,7 +51,9 @@ conclusions, and a side containing one already printed copies its text.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import metavars as mv
 from .errors import MixedSortError, ParseError
@@ -600,12 +602,7 @@ class _Sides:
 
 
 def parse_derivation(text: str) -> Derivation:
-    try:
-        nodes = _read_skeleton(text)
-    except (_Refused, RecursionError):
-        nodes = None
-    if nodes is None:  # walked outside the handler, so its errors chain to nothing
-        nodes = _walk_skeleton(text)
+    nodes = _skeleton(text)
     sides = _Sides(side for _, ant, suc, _ in nodes for side in (ant, suc))
     sequents = []
     for _, ant_text, suc_text, _ in nodes:
@@ -625,15 +622,42 @@ def parse_derivation(text: str) -> Derivation:
 
 # A node's header, or the ')' closing a node (group 4).  Tokens are spelled
 # as in _SEXP_TOKEN_RE, and rule and seq must be followed by a string, so
-# rulex is refused: the pattern accepts exactly the scripts the token walk does.
+# rulex is refused: the pattern accepts exactly the well-formed scripts.
 _SKELETON_RE = re.compile(
     r'\s*(?:\(\s*rule\s*"([^"]*)"\s*\(\s*seq\s*"([^"]*)"\s*"([^"]*)"\s*\)|(\)))'
 )
 _BLANK_RE = re.compile(r"\s*\Z")
+# the tokens of a node's header, '"' standing for a quoted string
+_HEADER = ("(", "rule", '"', "(", "seq", '"', '"', ")")
 
 
 class _Refused(Exception):
-    """The skeleton pattern does not match where a node should go on."""
+    """The skeleton pattern stops: args are where, and whether that is
+    after the root."""
+
+
+def _skeleton(text: str) -> list[tuple]:
+    """The skeleton of a script, or the error of its first fault: an
+    unexpected character anywhere, else the first token out of shape."""
+    try:
+        return _read_skeleton(text)
+    except _Refused as e:
+        at, trailing = e.args
+    except RecursionError:  # dropped here, with its frames, before the script is tokenized
+        at = None
+    tokens = _tokenize(text, _SEXP_TOKEN_RE, " in script")
+    if at is None:
+        raise RecursionError("a script nests deeper than the recursion limit allows")
+    i = bisect_left(tokens, at, key=itemgetter(1))
+    if trailing:
+        raise ParseError("unexpected trailing input in script", tokens[i][1])
+    # within a node, a premise's header or the node's ')' comes next
+    shape = _HEADER if at == 0 or tokens[i][0] == "(" else (")",)
+    for want, (tok, pos) in zip(shape, tokens[i:]):
+        if want != ('"' if tok[0] == '"' else tok):
+            break
+    want = "a quoted string" if want == '"' else repr(want)
+    raise ParseError(f"expected {want}, found {tok!r}", pos)
 
 
 def _read_skeleton(text: str) -> list[tuple]:
@@ -643,10 +667,10 @@ def _read_skeleton(text: str) -> list[tuple]:
     nodes: list = []
     m = _SKELETON_RE.match(text)
     if m is None or m.lastindex == 4:
-        raise _Refused
+        raise _Refused(0, False)
     end = _read_node(text, m, nodes)
     if _BLANK_RE.match(text, end) is None:
-        raise _Refused
+        raise _Refused(end, True)
     return nodes
 
 
@@ -656,62 +680,16 @@ def _read_node(text: str, header: re.Match, nodes: list) -> int:
     at = len(nodes)
     nodes.append(None)
     count = 0
-    m = _SKELETON_RE.match(text, header.end())
+    end = header.end()
+    m = _SKELETON_RE.match(text, end)
     while m is not None and m.lastindex != 4:
         count += 1
-        m = _SKELETON_RE.match(text, _read_node(text, m, nodes))
+        end = _read_node(text, m, nodes)
+        m = _SKELETON_RE.match(text, end)
     if m is None:
-        raise _Refused
+        raise _Refused(end, False)
     nodes[at] = (*header.group(1, 2, 3), count)
     return m.end()
-
-
-def _walk_skeleton(text: str) -> list[tuple]:
-    """The skeleton of a script read token by token: slower than
-    _read_skeleton, and what words every script-shape error.  An
-    unexpected character anywhere beats a shape error."""
-    tokens = _tokenize(text, _SEXP_TOKEN_RE, " in script")
-    nodes: list = []
-    i = _parse_deriv_node(tokens, 0, nodes)
-    if tokens[i][0] != EOF:
-        raise ParseError("unexpected trailing input in script", tokens[i][1])
-    return nodes
-
-
-def _expect_tok(tokens, i, want):
-    tok, pos = tokens[i]
-    if tok != want:
-        raise ParseError(f"expected {want!r}, found {tok!r}", pos)
-    return i + 1
-
-
-def _string_tok(tokens, i) -> tuple[str, int]:
-    tok, pos = tokens[i]
-    if not (tok.startswith('"') and tok.endswith('"')):
-        raise ParseError(f"expected a quoted string, found {tok!r}", pos)
-    return tok[1:-1], i + 1
-
-
-def _parse_deriv_node(tokens, i, nodes: list) -> int:
-    """Append the node starting at token i, then its premises, to nodes as
-    _read_node does; return the index of the token after it.  It
-    recurses once per node."""
-    at = len(nodes)
-    nodes.append(None)
-    i = _expect_tok(tokens, i, "(")
-    i = _expect_tok(tokens, i, "rule")
-    name, i = _string_tok(tokens, i)
-    i = _expect_tok(tokens, i, "(")
-    i = _expect_tok(tokens, i, "seq")
-    ant, i = _string_tok(tokens, i)
-    suc, i = _string_tok(tokens, i)
-    i = _expect_tok(tokens, i, ")")
-    count = 0
-    while tokens[i][0] == "(":
-        i = _parse_deriv_node(tokens, i, nodes)
-        count += 1
-    nodes[at] = (name, ant, suc, count)
-    return _expect_tok(tokens, i, ")")
 
 
 def derivation_to_sexp(d: Derivation) -> str:

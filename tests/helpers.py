@@ -35,15 +35,7 @@ from inqmt.formulas import (
     subterms,
     variables,
 )
-from inqmt.parser import (
-    _SEXP_TOKEN_RE,
-    EOF,
-    _expect_tok,
-    _string_tok,
-    _tokenize,
-    print_term,
-    sequent_from_sides,
-)
+from inqmt.parser import _SEXP_TOKEN_RE, EOF, _tokenize, print_term, sequent_from_sides
 from inqmt.rules import pseq
 from inqmt.structures import (
     Comma,
@@ -370,6 +362,20 @@ def ref_c1_lint(node, m):
 
 # ---------------------------------------------------------------------------
 # Reference scripts: every node's sides read, and printed, on their own.
+
+
+def _expect_tok(tokens, i, want):
+    tok, pos = tokens[i]
+    if tok != want:
+        raise ParseError(f"expected {want!r}, found {tok!r}", pos)
+    return i + 1
+
+
+def _string_tok(tokens, i):
+    tok, pos = tokens[i]
+    if not (tok.startswith('"') and tok.endswith('"')):
+        raise ParseError(f"expected a quoted string, found {tok!r}", pos)
+    return tok[1:-1], i + 1
 
 
 def ref_parse_derivation(text):

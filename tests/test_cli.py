@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from inqmt.cli import main
 from inqmt.parser import derivation_to_sexp
 
 from helpers import weakening_chain
+from test_parser import _mutant, _side_rewritten
 
 
 def run(capsys, *argv):
@@ -190,6 +192,25 @@ def test_deep_nesting_is_a_size_cap_not_a_traceback(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--script", str(script))
     assert code == 3 and out == ""
     assert err.startswith("size cap exceeded") and len(err.strip().splitlines()) == 1
+
+
+def test_mutated_scripts_end_in_an_exit_code(tmp_path, capsys):
+    """Seeded rewrites of the corpus scripts, of their s-expressions or of
+    one side, through check, reduce and audit: each ends in a documented
+    exit code, and no exception escapes main."""
+    rng = random.Random(12)
+    names = corpus.names()
+    codes = set()
+    for i in range(300):
+        text = corpus.text(rng.choice(names))
+        mutant = _mutant(text, rng) if rng.random() < 0.5 else _side_rewritten(text, rng)
+        script = tmp_path / f"{i}.sexp"
+        script.write_text(mutant, encoding="utf-8")
+        for argv in (("check",), ("reduce",), ("audit", "-V", "p,q")):
+            code, _, _ = run(capsys, *argv, "--script", str(script))
+            assert code in (0, 1, 2, 3), (argv, mutant)
+            codes.add(code)
+    assert {0, 1, 2} <= codes
 
 
 def test_deep_eval_runs_without_recursion(capsys):

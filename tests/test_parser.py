@@ -39,7 +39,18 @@ from inqmt.parser import (
     parse_structure,
     print_term,
 )
-from inqmt.structures import Comma, Derivation, FlatFml, GenFml, Semi, Sequent, Sort, Sup
+from inqmt.structures import (
+    Comma,
+    Derivation,
+    FlatFml,
+    GenFml,
+    Semi,
+    Sequent,
+    Sort,
+    Sup,
+    children,
+    preorder,
+)
 
 from helpers import (
     rand_flat,
@@ -419,6 +430,120 @@ def test_an_identity_derivation_reads_few_sides_in_full(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Side texts: one side of a script rewritten, so that it is assembled, or
+# read in full, from other parts than the printer gave it; checked against
+# the node-by-node reader on seeded rewrites of the corpus scripts and the
+# generated derivations
+
+_SIDE_TOKEN_RE = re.compile(r"~>|\|>|/\\|\\/|=>|[&|~?>;,()=]|[A-Za-z][A-Za-z0-9_]*|0")
+_SEQ_RE = re.compile(r'\(seq "([^"]*)" "([^"]*)"\)')
+_INFIX_TOKENS = frozenset(("|>", ",", "~>", "|", "&", ">", ";", "=>", "\\/", "/\\"))
+_LEADING_WORDS = frozenset(("neg", "F", "Dn", "Fs", "dn"))
+SWAPS = {",": ";", ";": ",", "|>": ">", ">": "|>", "&": "/\\", "/\\": "&"}
+
+
+def _operands(text: str) -> list[tuple[int, int]]:
+    """The spans of text that can be operands: balanced token runs from a
+    token that can start an operand to one that can end one."""
+    tokens = list(_SIDE_TOKEN_RE.finditer(text))
+    spans = []
+    for a, first in enumerate(tokens):
+        if first[0] in _INFIX_TOKENS or first[0] == ")":
+            continue
+        depth = 0
+        for last in tokens[a:]:
+            depth += (last[0] == "(") - (last[0] == ")")
+            if depth < 0:
+                break
+            ends = last[0] == ")" or last[0][-1].isalnum() and last[0] not in _LEADING_WORDS
+            if depth == 0 and ends:
+                spans.append((first.start(), last.end()))
+    return spans
+
+
+def _closing(text: str, i: int) -> int:
+    """Where the ')' closing the '(' at i stands."""
+    depth = 0
+    for j in range(i, len(text)):
+        depth += (text[j] == "(") - (text[j] == ")")
+        if depth == 0:
+            return j
+    raise ValueError(text)
+
+
+def _side_mutant(text: str, rng) -> str:
+    """A side text with one seeded rewrite."""
+    kind = rng.randrange(6)
+    spans = _operands(text)
+    tokens = list(_SIDE_TOKEN_RE.finditer(text))
+    if kind == 0:  # parentheses around an operand
+        i, j = rng.choice(spans)
+        return f"{text[:i]}({text[i:j]}){text[j:]}"
+    if kind == 1:  # parentheses dropped, other than a wrapper's
+        opens = [m.start() for m in tokens if m[0] == "(" and not text[: m.start()][-1:].isalnum()]
+        if not opens:
+            return text.replace(" ", "")
+        i = rng.choice(opens)
+        j = _closing(text, i)
+        return text[:i] + text[i + 1 : j] + text[j + 1:]
+    if kind == 2:  # spaces removed around one operator, or everywhere
+        ops = [m for m in tokens if m[0] in _INFIX_TOKENS]
+        if not ops or rng.random() < 0.2:
+            return text.replace(" ", "")
+        m = rng.choice(ops)
+        return text[: m.start()].rstrip() + m[0] + text[m.end():].lstrip()
+    if kind == 3:  # one operator swapped for its look-alike of the other sort
+        ops = [m for m in tokens if m[0] in SWAPS]
+        if not ops:
+            return text + " , p"
+        m = rng.choice(ops)
+        return text[: m.start()] + SWAPS[m[0]] + text[m.end():]
+    i, j = rng.choice(spans)
+    if kind == 4:  # a negation inserted
+        return text[:i] + rng.choice(("~", "~ ", "neg ")) + text[i:]
+    # an operand wrapped
+    return f"{text[:i]}{rng.choice(('F(', 'Dn(', 'dn('))}{text[i:j]}){text[j:]}"
+
+
+def _side_rewritten(text: str, rng) -> str:
+    """text with one side of one node rewritten by _side_mutant."""
+    m = rng.choice(list(_SEQ_RE.finditer(text)))
+    k = rng.randrange(1, 3)
+    return text[: m.start(k)] + _side_mutant(m[k], rng) + text[m.end(k):]
+
+
+def _partly_read_scripts():
+    """Scripts whose root sides are a random structure and whose leaves'
+    sides are some of its substructures: a few of its parts are read
+    before it."""
+    rng = random.Random(16)
+    for _ in range(80):
+        s = rng.choice((rand_flat_structure, rand_general_structure))(rng, 3)
+        parts = [t for _, t in preorder(s, children)][1:]
+        leaves = rng.sample(parts, min(len(parts), rng.randrange(4)))
+        premises = "".join(f' (rule "x" (seq "{print_term(t)}" "{print_term(t)}"))' for t in leaves)
+        yield f'(rule "r" (seq "{print_term(s)}" "{print_term(s)}"){premises})'
+
+
+def test_rewritten_sides_read_as_the_per_node_reference_reads_them():
+    rng = random.Random(15)
+    scripts = [corpus.text(name) for name in corpus.names()]
+    scripts += [derivation_to_sexp(d) for d in _generated_derivations()]
+    scripts += _partly_read_scripts()
+    read = failed = 0
+    for text in scripts:
+        for _ in range(12):
+            mutant = _side_rewritten(text, rng)
+            expected = _outcome(ref_parse_derivation, mutant)
+            assert _outcome(parse_derivation, mutant) == expected, mutant
+            if isinstance(expected, Derivation):
+                read += 1
+            else:
+                failed += 1
+    assert read > 600 and failed > 300
+
+
+# ---------------------------------------------------------------------------
 # The skeleton: one pattern match per node header, checked against the
 # token walk on seeded mutations of the corpus scripts' s-expressions
 
@@ -492,20 +617,18 @@ def test_the_skeleton_pattern_accepts_what_the_token_walk_accepts(monkeypatch):
             if rng.random() < 0.2:
                 mutant = _mutant(mutant, rng)
             try:
-                walked = parser._walk_skeleton(mutant)
+                walked = ref_parse_derivation(mutant)
             except ParseError as e:
-                with pytest.raises(parser._Refused):
-                    parser._read_skeleton(mutant)
                 with pytest.raises(ParseError) as got:
                     parse_derivation(mutant)
                 assert (got.value.message, got.value.pos) == (e.message, e.pos), mutant
                 refused += 1
             else:
-                assert parser._read_skeleton(mutant) == walked, mutant
+                assert parse_derivation(mutant) == walked, mutant
                 accepted += 1
     assert accepted > 150 and refused > 400
-    # a well-formed script never reaches the token walk
-    monkeypatch.setattr(parser, "_walk_skeleton", None)
+    # a well-formed script is never tokenized as a whole
+    monkeypatch.setattr(parser, "_SEXP_TOKEN_RE", None)
     for name in corpus.names():
         parse_derivation(corpus.text(name))
 
