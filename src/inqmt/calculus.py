@@ -2,14 +2,17 @@
 
 Checking matches every node of a derivation against the schemas
 registered under its rule name; double-line schemas are tried in both
-directions.  The surgical Flat cut searches the consumer premise for an
-antecedent-part occurrence of the cut formula whose replacement by the
-provider's antecedent yields the conclusion.  Shape matching is the
-whole check: the operational-subterm condition C1 (every formula of a
-premise is a subterm of the conclusion or of the cut formula) is proved
-once per schema when the rule table is built (rules._validate_table),
-so every matched node meets it.  Cuts match only sort-uniform
-cut-formula occurrences; sequents are type-uniform by construction.
+directions.  A rule instance is read from its sequents alone.  The
+surgical Flat cut walks its consumer premise and its conclusion side by
+side: they differ at one antecedent-part position only, the hole, where
+the consumer holds the cut formula and the conclusion the provider's
+antecedent; a match reports the hole's path (see polarity_of).  Shape
+matching is the whole check: the operational-subterm condition C1
+(every formula of a premise is a subterm of the conclusion or of the cut
+formula) is proved once per schema when the rule table is built
+(rules._validate_table), so every matched node meets it.  Cuts match
+only sort-uniform cut-formula occurrences; sequents are type-uniform by
+construction.
 
 Auditing interprets each rule instance over the two algebras: a sequent
 holds under an assignment of teams to its variables when the antecedent
@@ -44,43 +47,40 @@ from typing import Optional
 from . import metavars as mv
 from .algebra import TeamAlgebra, for_context
 from .contexts import Context
-from .denote import _BINARY, Compiler, Machine, Polarity
-from .formulas import FVar, FlatFormula, GeneralFormula, variables
+from .denote import _BINARY, _OTHER, ANT, SUC, Compiler, Machine, Polarity
+from .formulas import FVar, FlatFormula, GeneralFormula, fold, variables
 from .rules import FAMILIES, RuleSchema, pseq, rule_table
 from .structures import (
     Derivation,
     FlatFml,
     FlatStructure,
     GeneralStructure,
-    Path,
     Sequent,
-    Sort,
     children,
-    iter_paths,
-    replace_at,
-    side_structure,
-    structure_at,
 )
 
 
-def polarity_of(seq: Sequent, path: Path) -> Polarity:
-    """Polarity of the occurrence addressed by path.
+def _flips(s) -> bool:
+    """Whether the structure s reads its first operand at the opposite
+    polarity (denote._BINARY): the first coordinate of the two arrows."""
+    shape = _BINARY.get(type(s))
+    return shape is not None and shape[2]
 
-    A step into an operand keeps the parent polarity, except where the
-    denotation table (denote._BINARY) reads the operand at the other
-    polarity: the first coordinate of the two arrow connectives.
-    """
+
+def polarity_of(seq: Sequent, path: tuple) -> Polarity:
+    """Polarity of the occurrence that path addresses: "ant" or "suc",
+    then child indices (0 = left or only child, 1 = right), stopping at
+    the structure level.  A step into an operand keeps the parent
+    polarity, except into the first operand of an arrow."""
     if path[0] not in ("ant", "suc"):
         raise ValueError(f"path must start with 'ant' or 'suc': {path!r}")
-    pol = Polarity.ANT if path[0] == "ant" else Polarity.SUC
-    s = side_structure(seq, path[0])
+    pol, s = (ANT, seq.antecedent) if path[0] == "ant" else (SUC, seq.succedent)
     for step in path[1:]:
         kids = children(s)
         if step >= len(kids):
             raise ValueError(f"invalid path {path!r} at {s}")
-        shape = _BINARY.get(type(s))
-        if step == 0 and shape is not None and shape[2]:
-            pol = Polarity.SUC if pol is Polarity.ANT else Polarity.ANT
+        if step == 0 and _flips(s):
+            pol = _OTHER[pol]
         s = kids[step]
     return pol
 
@@ -128,44 +128,57 @@ class MatchBinding:
     bindings: dict
     reversed_direction: bool = False
     cut_formula: object = None
-    cut_path: Path | None = None
+    cut_path: tuple | None = None  # the surgical cut's hole, as polarity_of reads paths
 
 
-def _match_surgical(schema, conclusion, premises, active: Path | None) -> Optional[MatchBinding]:
+def _match_surgical(schema, conclusion, premises) -> Optional[MatchBinding]:
+    """The surgical Flat cut, read from its sequents.  The consumer and
+    the conclusion are walked side by side in pre-order, going down only
+    where they differ.  They must differ at one place only, the hole: an
+    antecedent-part position where the consumer holds the cut formula and
+    the conclusion the provider's antecedent.  When that antecedent is
+    the cut formula itself, the two are equal, and the hole is the first
+    antecedent-part occurrence of the cut formula."""
     if len(premises) != 2:
         return None
     provider, consumer = premises
-    if provider.sort is not Sort.FLAT or not isinstance(provider.succedent, FlatFml):
+    hole, gamma = provider.succedent, provider.antecedent
+    if type(hole) is not FlatFml:
         return None
-    alpha = provider.succedent.formula
-    gamma = provider.antecedent
-    if consumer.sort is not conclusion.sort:
+    same = hole is gamma
+    if same and consumer != conclusion:
         return None
-    target = FlatFml(alpha)
-    if active is not None:
-        paths = [active]
-    else:
-        paths = [p for p, s in iter_paths(consumer) if s == target]
-    for path in paths:
-        try:
-            if structure_at(consumer, path) != target:
-                continue
-            if polarity_of(consumer, path) is not Polarity.ANT:
-                continue
-        except (ValueError, IndexError):
-            continue
-        if replace_at(consumer, path, gamma) == conclusion:
-            return MatchBinding(schema, {}, cut_formula=alpha, cut_path=path)
-    return None
+    found = None
+    todo = [
+        (consumer.succedent, conclusion.succedent, SUC, ("suc",)),
+        (consumer.antecedent, conclusion.antecedent, ANT, ("ant",)),
+    ]
+    while todo:
+        c, k, pol, path = todo.pop()
+        if c is hole and k is gamma and pol is ANT:
+            if found is not None:
+                return None
+            found = path
+            if same:
+                break
+        elif same or c is not k:
+            kids = children(c)
+            if c is not k and (type(c) is not type(k) or not kids):
+                return None
+            flip = _flips(c)
+            todo += [
+                (kid, other, _OTHER[pol] if flip and not i else pol, (*path, i))
+                for i, (kid, other) in enumerate(zip(kids, children(k)))
+            ][::-1]
+    if found is None:
+        return None
+    return MatchBinding(schema, {}, cut_formula=hole.formula, cut_path=found)
 
 
-def match_rule(
-    schema: RuleSchema, conclusion: Sequent, premises: list[Sequent], active: Path | None = None
-):
-    """Match one schema instance; None when the shapes do not fit.  A
-    surgical cut with an active path replaces the occurrence there only."""
+def match_rule(schema: RuleSchema, conclusion: Sequent, premises: list[Sequent]):
+    """Match one schema instance; None when the shapes do not fit."""
     if schema.surgical:
-        return _match_surgical(schema, conclusion, premises, active)
+        return _match_surgical(schema, conclusion, premises)
     if len(premises) != len(schema.premises):
         return None
     directions = [(schema.premises, schema.conclusion, False)]
@@ -223,20 +236,14 @@ class CheckResult:
 
 def _check_node(node: Derivation) -> tuple[Optional[MatchBinding], str, str]:
     """Returns (match, reason, note); match None means failure."""
+    premises = [p.conclusion for p in node.premises]
+    m = match_name(node.rule, node.conclusion, premises)
+    if m is not None:
+        return m, "", "extension: display postulate" if m.schema.extension else ""
     family = FAMILIES.get(node.rule)
     if not family:
         return None, f"unknown rule {node.rule!r}", ""
-    premises = [p.conclusion for p in node.premises]
-    arity_ok = False
-    for schema in family:
-        if schema.n_premises != len(premises):
-            continue
-        arity_ok = True
-        m = match_rule(schema, node.conclusion, premises, node.active)
-        if m is not None:
-            note = "extension: display postulate" if schema.extension else ""
-            return m, "", note
-    if not arity_ok:
+    if all(s.n_premises != len(premises) for s in family):
         return None, f"{node.rule} takes a different number of premises", ""
     return None, f"shape mismatch for {node.rule}", ""
 
@@ -445,12 +452,15 @@ def _surgical_counterexample(alg: TeamAlgebra, search, downsets):
     with a in the hole and fails with G there."""
     alpha, gamma = mv.FMetaF("a"), mv.SMetaF("G")
     hole = FlatFml(alpha)
+
+    def put(t, done):  # t with gamma in the hole
+        return gamma if t is hole else type(t)(*map(done.get, t.parts)) if t.parts else t
+
     teams = tuple(alg.all_teams())
     for text in _CUT_CONTEXTS:
         consumer = pseq(text)
-        path = next(p for p, s in iter_paths(consumer) if s is hole)
         compiler = Compiler(alg.full_team).add_sequent(pseq("G |- a")).add_sequent(consumer)
-        compiler.add_sequent(replace_at(consumer, path, gamma))
+        compiler.add_sequent(Sequent(fold(consumer.antecedent, put), fold(consumer.succedent, put)))
         others = compiler.leaf_keys[2:]
         domains = [
             teams if isinstance(m, (mv.SMetaF, mv.FMetaF, mv.PMeta)) else downsets

@@ -59,7 +59,7 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise _UsageError(str(e)) from None
     phi = parse_inql(args.formula)
-    result = teams.support(ctx, team, phi)
+    result = bool(teams.support_table(ctx, phi) >> team & 1)
     _emit(args, {"formula": str(phi), "team": ctx.team_to_spec(team), "supported": result},
           "true" if result else "false")
     return 0 if result else 1

@@ -11,17 +11,19 @@ afterwards by the adjunction counit.
 The conjunction-style reductions displayed here run the residuation
 conversions inside the cut formula's own sort; &, /\\ and \\/ share one
 figure, upside down for \\/.  Parametric cuts (those not principal on
-both sides) are out of scope and are reported as unreduced.
+both sides) are out of scope and are reported as unreduced.  A rewrite
+builds plain derivations: the Flat cuts it places are read from their
+sequents like any other node, their holes included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .calculus import match_rule
+from .calculus import match_name
 from .errors import UnsupportedPatternError
 from .formulas import Down, FImp, FVar, FZero, GImp, formula_size
-from .rules import FAMILIES, INTRODUCTIONS
+from .rules import INTRODUCTIONS
 from .structures import Comma, Derivation, DownOf, FOf, Gt, Semi, Sequent, Sup, lift
 
 
@@ -38,12 +40,8 @@ class CutSite:
 
 
 def _cut_formula(node: Derivation):
-    premises = [p.conclusion for p in node.premises]
-    for schema in FAMILIES["Cut"]:
-        m = match_rule(schema, node.conclusion, premises)
-        if m is not None and m.cut_formula is not None:
-            return m.cut_formula
-    return None
+    m = match_name("Cut", node.conclusion, [p.conclusion for p in node.premises])
+    return None if m is None else m.cut_formula
 
 
 def find_cut_sites(d: Derivation) -> list[CutSite]:
@@ -71,16 +69,15 @@ def find_principal_cuts(d: Derivation) -> list[CutSite]:
 # The local rewrites
 
 
-def _dd(rule, ant, suc, *prems, active=None):
-    return Derivation(Sequent(ant, suc), rule, tuple(prems), active)
+def _dd(rule, ant, suc, *prems):
+    return Derivation(Sequent(ant, suc), rule, tuple(prems))
 
 
 # the pair structure of a conjunction-like connective -> its sort's
-# residuation rule, arrow structure, the active path of its cuts and the
-# reduction note
+# residuation rule, arrow structure and the reduction note
 _RESIDUATION = {
-    Comma: ("resF", Sup, ("ant",), "flat-residuation variant of the printed figure"),
-    Semi: ("resG", Gt, None, "delegated case"),
+    Comma: ("resF", Sup, "flat-residuation variant of the printed figure"),
+    Semi: ("resG", Gt, "delegated case"),
 }
 
 
@@ -90,7 +87,7 @@ def _pair_figure(node: Derivation, formula, pair) -> tuple[Derivation, str]:
     for a conjunction, whose two-premise rule is the right one; for \\/,
     whose two-premise rule is the left one, it is the same figure upside
     down: every sequent turned around and each cut's premises swapped."""
-    res, arrow, cut_path, note = _RESIDUATION[pair]
+    res, arrow, note = _RESIDUATION[pair]
     flip = len(node.premises[1].premises) == 2
     two, one = node.premises[::-1] if flip else node.premises
     pi1, pi2 = two.premises
@@ -103,7 +100,7 @@ def _pair_figure(node: Derivation, formula, pair) -> tuple[Derivation, str]:
     def step(rule, ant, suc, *prems):
         if flip:
             ant, suc, prems = suc, ant, prems[::-1]
-        return _dd(rule, ant, suc, *prems, active=cut_path if rule == "Cut" else None)
+        return _dd(rule, ant, suc, *prems)
 
     a, b = lift(formula.left), lift(formula.right)
     x, y, z = sides(pi1)[0], sides(pi2)[0], sides(pi3)[1]
@@ -136,8 +133,8 @@ def _rewrite(node: Derivation, formula) -> tuple[Derivation, str]:
         sigma = pi2.conclusion.antecedent
         delta = pi3.conclusion.succedent
         n = _dd("resF", Comma(a, gamma), b, pi1)
-        n = _dd("Cut", Comma(a, gamma), delta, n, pi3, active=("ant",))
-        n = _dd("Cut", Comma(sigma, gamma), delta, pi2, n, active=("ant", 0))
+        n = _dd("Cut", Comma(a, gamma), delta, n, pi3)
+        n = _dd("Cut", Comma(sigma, gamma), delta, pi2, n)
         n = _dd("resF", gamma, Sup(sigma, delta), n)
         return n, "delegated case, flat-residuation template"
 
@@ -148,7 +145,7 @@ def _rewrite(node: Derivation, formula) -> tuple[Derivation, str]:
         x = pi1.conclusion.antecedent
         y = pi2.conclusion.succedent
         n = _dd("d adj", FOf(x), a, pi1)
-        n = _dd("Cut", DownOf(FOf(x)), y, n, pi2, active=("ant", 0))
+        n = _dd("Cut", DownOf(FOf(x)), y, n, pi2)
         n = _dd("d-f elim", x, y, n)
         return n, "cut moves to the Flat body"
 

@@ -27,7 +27,9 @@ slots) or over a whole product of input domains in one staged search
 (search), where an operation runs once per value of the last input it
 reads rather than once per assignment.  It memoises the costly maps
 (downset, f, f*, heyting, co-implication) for its own lifetime, which is
-one public call: nothing is cached across calls.
+one public call: nothing is cached across calls.  A run of fails first
+empties the tables once they hold more than MEMO_BITS bits of values,
+so the independent draws of a sampled audit keep bounded memory.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ _UNARY = {
     FStarOf: (FSTAR, FAIL),
 }
 _OTHER = {ANT: SUC, SUC: ANT}
+# fails empties the machine's memo tables beyond this many bits of values:
+# 2,048 entries at four variables (16 MB), never reached at three
+MEMO_BITS = 1 << 27
 # markers of pending operations on the compiler's work stack
 _MAKE1, _MAKE2 = object(), object()
 
@@ -221,7 +226,8 @@ class Compiler:
 
 class Machine:
     """Runs programs over one algebra.  The memo tables live as long as
-    the machine; make one per public call.
+    the machine, emptied by fails beyond MEMO_BITS; make one per public
+    call.
 
     fails and slots run a program root by root under one assignment.
     search runs it over a whole product of input domains in one staged
@@ -234,11 +240,8 @@ class Machine:
     def __init__(self, alg):
         top = alg.full_team
         downset, f, f_star, heyting, coimp = alg.downset, alg.f, alg.f_star, alg.heyting, alg.coimp
-        downs: dict = {}
-        unions: dict = {}
-        stars: dict = {}
-        heys: dict = {}
-        coimps: dict = {}
+        memos = downs, unions, stars, heys, coimps = {}, {}, {}, {}, {}
+        most = MEMO_BITS // alg.n_teams
 
         def run(ops, s):
             for code, d, a, b in ops:
@@ -289,6 +292,9 @@ class Machine:
         def fails(prog: Program, values) -> bool:
             """Whether every sequent root but the last holds and the last
             does not; roots after the first failing one are not run."""
+            if len(downs) + len(unions) + len(stars) + len(heys) + len(coimps) > most:
+                for memo in memos:
+                    memo.clear()
             s = start(prog, values)
             last = len(prog.segments) - 1
             for i, ops in enumerate(prog.segments):

@@ -7,7 +7,8 @@ feed the cut-reduction machinery.  A connective's identity applies its
 two introduction rules, read from rules.INTRODUCTIONS; its principal cut
 joins those two steps, the one ending in the right rule as provider.
 The bundled script corpus is exactly the output of these builders
-(tests pin that equality).
+(tests pin that equality).  A built derivation carries only sequents and
+rule names, as a script does, so the two check alike.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .rules import INTRODUCTIONS, lookup
 from .structures import Comma, Derivation, DownOf, FOf, Gt, PHI, Semi, Sequent, Sup, lift
 
 
-def _d(rule: str, ant, suc, *prems, active=None) -> Derivation:
-    return Derivation(Sequent(lift(ant), lift(suc)), rule, tuple(prems), active)
+def _d(rule: str, ant, suc, *prems) -> Derivation:
+    return Derivation(Sequent(lift(ant), lift(suc)), rule, tuple(prems))
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +258,8 @@ def principal_cut_example(formula) -> Derivation:
         whole = identity(formula)
         steps = (whole, whole.premises[0] if whole.premises else whole)
         provider, consumer = steps if whole.rule == INTRODUCTIONS[type(formula)][1] else steps[::-1]
-    return _d(
-        "Cut",
-        provider.conclusion.antecedent,
-        consumer.conclusion.succedent,
-        provider,
-        consumer,
-        active=("ant",) if isinstance(formula, FlatFormula) else None,
-    )
+    ant, suc = provider.conclusion.antecedent, consumer.conclusion.succedent
+    return _d("Cut", ant, suc, provider, consumer)
 
 
 def parametric_cut_example() -> Derivation:
@@ -272,7 +267,7 @@ def parametric_cut_example() -> Derivation:
     p, q = FVar("p"), FVar("q")
     provider = _d("W", Comma(lift(p), lift(q)), p, _d("Id", p, p))
     consumer = _d("Id", p, p)
-    return _d("Cut", Comma(lift(p), lift(q)), p, provider, consumer, active=("ant",))
+    return _d("Cut", Comma(lift(p), lift(q)), p, provider, consumer)
 
 
 def corpus_derivations() -> dict[str, Derivation]:

@@ -7,10 +7,11 @@ The two residuation families are extensions flagged as display
 postulates: they are not part of the printed rule set but the bundled
 completeness derivations are not checkable without them.
 
-The surgical Flat cut replaces a marked antecedent-part occurrence of the
-cut formula inside an arbitrary sequent of either sort; it is matched by
-dedicated code in the calculus module, and its single listed premise
-pattern covers only the formula-providing premise.  INTRODUCTIONS names
+The surgical Flat cut replaces an antecedent-part occurrence of the cut
+formula inside an arbitrary sequent of either sort, the one where its
+consumer premise and its conclusion differ; it is matched by dedicated
+code in the calculus module, and its single listed premise pattern
+covers only the formula-providing premise.  INTRODUCTIONS names
 each connective's two introduction rules, for the derivation builders
 and cut reduction.
 

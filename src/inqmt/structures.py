@@ -5,10 +5,10 @@ applied to a General structure; General structures from Dn and Fs applied
 to Flat structures, semicolon, and the General arrow.  Operational
 formulas of either sort are admitted as atomic structures.
 
-Occurrences inside a sequent are addressed by paths: a tuple starting with
-"ant" or "suc" followed by child indices (0 = left / only child, 1 =
-right).  Formula interiors are not addressable; a path stops at the
-structure level.
+A derivation is a tree of sequents labelled with rule names, and nothing
+more: a rule instance is read from its sequents alone (the surgical
+cut's hole among them, see calculus).  Its nodes are addressed by tuples
+of premise indices from the root.
 """
 
 from __future__ import annotations
@@ -111,21 +111,6 @@ def children(s: Structure) -> tuple[Structure, ...]:
     return () if type(s) in _LIFTS else s.parts
 
 
-def _rebuild(root, steps, replacement, kids, remake):
-    """root with the node that the child indices steps lead to replaced:
-    the nodes on the way down are kept on a list and remade bottom-up,
-    remake(node, new kids) building each."""
-    spine = []
-    for i in steps:
-        spine.append(root)
-        root = kids(root)[i]
-    for node, i in zip(reversed(spine), reversed(steps)):
-        new = list(kids(node))
-        new[i] = replacement
-        replacement = remake(node, tuple(new))
-    return replacement
-
-
 # ---------------------------------------------------------------------------
 # Sequents
 
@@ -149,56 +134,6 @@ class Sequent:
         return f"{self.antecedent} |- {self.succedent}"
 
 
-Path = tuple
-
-
-def side_structure(seq: Sequent, side: str) -> Structure:
-    return seq.antecedent if side == "ant" else seq.succedent
-
-
-def structure_at(seq: Sequent, path: Path) -> Structure:
-    s = side_structure(seq, path[0])
-    for step in path[1:]:
-        s = children(s)[step]
-    return s
-
-
-def replace_at(seq: Sequent, path: Path, replacement: Structure) -> Sequent:
-    side = side_structure(seq, path[0])
-    side = _rebuild(side, path[1:], replacement, children, lambda s, kids: type(s)(*kids))
-    if path[0] == "ant":
-        return Sequent(side, seq.succedent)
-    return Sequent(seq.antecedent, side)
-
-
-def preorder(root, kids, prefix: tuple = ()) -> Iterator[tuple[tuple, object]]:
-    """(address, node) for root and everything below it, parents before
-    their children and children in order; an address is prefix followed
-    by child indices.  The walk keeps an explicit stack and one mutable
-    address, but hands out a copy of it at every step, so a step costs
-    O(depth); a walk that needs no address uses formulas.subterms."""
-    yield prefix, root
-    addr = list(prefix)
-    stack = [enumerate(kids(root))]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if stack:
-                addr.pop()
-            continue
-        i, node = step
-        addr.append(i)
-        yield tuple(addr), node
-        stack.append(enumerate(kids(node)))
-
-
-def iter_paths(seq: Sequent) -> Iterator[tuple[Path, Structure]]:
-    """All substructure occurrences of both sides, outermost first."""
-    yield from preorder(seq.antecedent, children, ("ant",))
-    yield from preorder(seq.succedent, children, ("suc",))
-
-
 def operational_terms(seq: Sequent) -> list[FlatFormula | GeneralFormula]:
     """The distinct formulas embedded in a sequent as atomic structures,
     in pre-order."""
@@ -212,14 +147,12 @@ def operational_terms(seq: Sequent) -> list[FlatFormula | GeneralFormula]:
 @dataclass(frozen=True, eq=False)
 class Derivation:
     """Two derivations are equal when their trees have the same shape
-    and the same conclusion and rule at every node; the active path is
-    not compared.  Equality and hashing walk an explicit stack, so no
-    depth makes them recurse."""
+    and the same conclusion and rule at every node.  Equality and
+    hashing walk an explicit stack, so no depth makes them recurse."""
 
     conclusion: Sequent
     rule: str
     premises: tuple["Derivation", ...] = ()
-    active: Path | None = None
 
     def _shapes(self) -> Iterator[tuple[Sequent, str, int]]:
         """(conclusion, rule, premise count) of every node, in pre-order;
@@ -243,8 +176,24 @@ class Derivation:
         return render(self, _derivation_pieces)
 
     def nodes(self) -> Iterator[tuple[tuple[int, ...], "Derivation"]]:
-        """All nodes with their tree addresses, root first."""
-        yield from preorder(self, lambda d: d.premises)
+        """All nodes with their tree addresses, root first, parents before
+        their premises and premises in order.  The walk keeps an explicit
+        stack and one mutable address, but hands out a copy of it at every
+        step, so a step costs O(depth)."""
+        yield (), self
+        addr: list = []
+        stack = [enumerate(self.premises)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if stack:
+                    addr.pop()
+                continue
+            i, d = step
+            addr.append(i)
+            yield tuple(addr), d
+            stack.append(enumerate(d.premises))
 
     def at(self, addr: tuple[int, ...]) -> "Derivation":
         d = self
@@ -253,15 +202,21 @@ class Derivation:
         return d
 
     def replace(self, addr: tuple[int, ...], sub: "Derivation") -> "Derivation":
-        return _rebuild(
-            self, addr, sub, lambda d: d.premises,
-            lambda d, kids: Derivation(d.conclusion, d.rule, kids, d.active),
-        )
+        """This derivation with the node at addr replaced by sub: the
+        nodes on the way down are remade bottom-up."""
+        spine = [self]
+        for i in addr[:-1]:
+            spine.append(spine[-1].premises[i])
+        for d, i in zip(reversed(spine), reversed(addr)):
+            kids = list(d.premises)
+            kids[i] = sub
+            sub = Derivation(d.conclusion, d.rule, tuple(kids))
+        return sub
 
 
 def _derivation_pieces(d: Derivation) -> list:
     pieces: list = [f"Derivation(conclusion={d.conclusion!r}, rule={d.rule!r}, premises=("]
     for i, p in enumerate(d.premises):
         pieces += (", ", p) if i else (p,)
-    pieces.append(f"{',' if len(d.premises) == 1 else ''}), active={d.active!r})")
+    pieces.append(f"{',' if len(d.premises) == 1 else ''}))")
     return pieces

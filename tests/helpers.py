@@ -3,8 +3,8 @@ that only the tests run (the pointwise support shortcut, the restricted
 Hilbert axioms, modus ponens, the algebraic flatness test), a recursive
 reference evaluator for denotations, reference searches for
 the audit and for schema soundness, the per-node operational-subterm
-lint, and a node-by-node reference reader and printer of derivation
-scripts."""
+lint, a reference search for the surgical cut's hole, and a node-by-node
+reference reader and printer of derivation scripts."""
 
 import random
 from itertools import product
@@ -50,7 +50,9 @@ from inqmt.structures import (
     Phi,
     Semi,
     Sequent,
+    Sort,
     Sup,
+    children,
     operational_terms,
 )
 
@@ -357,6 +359,56 @@ def ref_c1_lint(node, m):
         for t in operational_terms(p.conclusion):
             if t not in covered:
                 return f"operational term {t} of a premise is not preserved (C1)"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The surgical cut's hole, found by trying every occurrence.
+
+
+def ref_occurrences(s, path=(), pol=Polarity.ANT):
+    """(path, structure, polarity) of s and of every structure inside it,
+    in pre-order; the first operand of an arrow flips the polarity."""
+    yield path, s, pol
+    flipped = Polarity.SUC if pol is Polarity.ANT else Polarity.ANT
+    for i, kid in enumerate(children(s)):
+        kid_pol = flipped if i == 0 and type(s) in (Sup, Gt) else pol
+        yield from ref_occurrences(kid, (*path, i), kid_pol)
+
+
+def ref_sequent_occurrences(seq):
+    """ref_occurrences of the antecedent, then of the succedent, with
+    paths starting "ant" or "suc"."""
+    yield from ref_occurrences(seq.antecedent, ("ant",), Polarity.ANT)
+    yield from ref_occurrences(seq.succedent, ("suc",), Polarity.SUC)
+
+
+def ref_replace(seq, path, new):
+    """seq with the structure that path addresses replaced by new."""
+
+    def put(s, steps):
+        if not steps:
+            return new
+        kids = list(children(s))
+        kids[steps[0]] = put(kids[steps[0]], steps[1:])
+        return type(s)(*kids)
+
+    if path[0] == "ant":
+        return Sequent(put(seq.antecedent, path[1:]), seq.succedent)
+    return Sequent(seq.antecedent, put(seq.succedent, path[1:]))
+
+
+def ref_match_surgical(conclusion, provider, consumer):
+    """The path of the surgical cut's hole, or None: the first
+    antecedent-part occurrence of the cut formula in the consumer, in
+    pre-order, whose replacement by the provider's antecedent gives the
+    conclusion."""
+    hole, gamma = provider.succedent, provider.antecedent
+    if provider.sort is not Sort.FLAT or type(hole) is not FlatFml:
+        return None
+    for path, s, pol in ref_sequent_occurrences(consumer):
+        if s is hole and pol is Polarity.ANT and ref_replace(consumer, path, gamma) == conclusion:
+            return path
     return None
 
 

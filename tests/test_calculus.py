@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -30,15 +31,29 @@ from inqmt.errors import InqmtError
 from inqmt.formulas import FZERO, Cap, Down, FImp, FVar, GAnd, GImp, GOr
 from inqmt.parser import parse_sequent, parse_structure
 from inqmt.rules import RuleSchema, lookup, pseq, rule_table, schema
-from inqmt.structures import Comma, Derivation, FlatFml, GenFml, Semi, Sequent, Sort, side_structure
+from inqmt.structures import (
+    Comma,
+    Derivation,
+    FlatFml,
+    FlatStructure,
+    GenFml,
+    Semi,
+    Sequent,
+    Sort,
+)
 
 from helpers import (
     plant_leaf,
     rand_flat,
+    rand_flat_structure,
     rand_general,
+    rand_general_structure,
     ref_audit,
     ref_c1_lint,
+    ref_match_surgical,
+    ref_replace,
     ref_schema_counterexample,
+    ref_sequent_occurrences,
     weakening_chain,
 )
 
@@ -74,7 +89,7 @@ def check_introductions(table):
         introduced = mv.PMeta if connective is FVar else connective
         for name, side in ((left, "ant"), (right, "suc")):
             (s,) = lookup(name)
-            principal = side_structure(s.conclusion, side)
+            principal = s.conclusion.antecedent if side == "ant" else s.conclusion.succedent
             assert type(principal) in (FlatFml, GenFml), name
             assert type(principal.formula) is introduced, name
         two = [s for s in {*lookup(left), *lookup(right)} if len(s.premises) == 2]
@@ -230,6 +245,21 @@ def test_audit_without_samples_fails_as_unchecked():
     assert audit_soundness(d, P1).unchecked_nodes == 0
 
 
+def test_sampled_audit_memory_does_not_grow_with_the_draws():
+    # at four variables every draw adds down-sets of up to 8 kB to the
+    # machine's memo tables; they are emptied beyond a fixed size
+    ctx = Context.of("p,q,r,s")
+    node = Derivation(parse_sequent("Dn(p) ; Dn(q) |- Dn(p) ; Dn(q)"), "Id")
+    peaks = []
+    for draws in (1500, 4500):
+        tracemalloc.start()
+        report = audit_soundness(node, ctx, samples=draws, max_exhaustive=0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert report.ok and report.assignments_checked == draws
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
 LEMMA_SCRIPTS = corpus.LEMMA52 + corpus.APPENDIX
 P2 = Context.of("p,q")
 
@@ -329,6 +359,76 @@ def test_surgical_cut_respects_polarity():
     assert allowed is not None
     assert allowed.cut_path == ("suc", 0)
     assert allowed.cut_formula == FVar("p")
+
+
+def _surgical_cases(n, seed):
+    """n (conclusion, provider, consumer) triples for the surgical cut.
+    The consumer is a random sequent of either sort with the cut formula
+    planted at one or two Flat positions of any polarity; the conclusion
+    puts the provider's antecedent into one of them, into both, into one
+    and changes something else, into some other position, or leaves the
+    consumer as it is.  A fifth of the providers are the cut formula
+    itself, and a few are not Flat formula providers."""
+    rng = random.Random(seed)
+    made = 0
+    while made < n:
+        make = (rand_flat_structure, rand_general_structure)[made % 2]
+        consumer = Sequent(make(rng, 3), make(rng, 3))
+        hole = FlatFml(rand_flat(rng, 1))
+        planted = []
+        for _ in range(rng.choice((1, 2))):
+            spots = [
+                path for path, t, _ in ref_sequent_occurrences(consumer)
+                if isinstance(t, FlatStructure)
+                and not any(path == q[:len(path)] for q in planted)
+            ]
+            if spots:
+                planted.append(rng.choice(spots))
+                consumer = ref_replace(consumer, planted[-1], hole)
+        if not planted:
+            continue
+        gamma = hole if rng.random() < 0.2 else rand_flat_structure(rng, 2)
+        provider = Sequent(gamma, hole)
+        if rng.random() < 0.03:
+            odd = (Sequent(gamma, Comma(hole, hole)), parse_sequent("Dn(p) |- Dn(q)"))
+            provider = rng.choice(odd)
+        kind = rng.randrange(5)
+        conclusion = ref_replace(consumer, planted[0], gamma)
+        if kind == 1:
+            for path in planted[1:]:
+                conclusion = ref_replace(conclusion, path, gamma)
+        elif kind == 2:
+            others = [
+                (path, t) for path, t, _ in ref_sequent_occurrences(conclusion)
+                if path[:len(planted[0])] != planted[0] and path != planted[0][:len(path)]
+            ]
+            if others:
+                path, t = rng.choice(others)
+                grow = rand_flat_structure if isinstance(t, FlatStructure) else rand_general_structure
+                conclusion = ref_replace(conclusion, path, grow(rng, 1))
+        elif kind == 3:
+            conclusion = consumer
+        elif kind == 4:
+            path, t, _ = rng.choice(list(ref_sequent_occurrences(consumer)))
+            if isinstance(t, FlatStructure):
+                conclusion = ref_replace(consumer, path, gamma)
+        made += 1
+        yield conclusion, provider, consumer
+
+
+def test_surgical_cut_matches_the_occurrence_search():
+    (cut,) = [s for s in lookup("Cut") if s.surgical]
+    matched, sorts, same = 0, set(), 0
+    for conclusion, provider, consumer in _surgical_cases(4000, 16):
+        m = calculus.match_rule(cut, conclusion, [provider, consumer])
+        want = ref_match_surgical(conclusion, provider, consumer)
+        assert (None if m is None else m.cut_path) == want, (conclusion, provider, consumer)
+        if m is not None:
+            assert m.cut_formula is provider.succedent.formula
+            matched += 1
+            sorts.add(conclusion.sort)
+            same += provider.antecedent is provider.succedent
+    assert 1000 < matched < 3000 and sorts == {Sort.FLAT, Sort.GENERAL} and same > 200
 
 
 def test_weakening_chain_checks_in_linear_time():

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import inqmt
 from inqmt import corpus
@@ -27,6 +28,22 @@ def test_eval(capsys):
     assert code == 1 and out.strip() == "false"
     code, out, _ = run(capsys, "eval", "-V", "p", "--team", "{}", "0")
     assert code == 0
+
+
+def test_eval_reads_the_support_table_at_four_variables(capsys):
+    # nested implications over all 16 worlds: a subteam walk per
+    # implication takes minutes here, the table milliseconds
+    worlds = ",".join(f"{w:04b}" for w in range(16))
+    phi = "(s -> s) -> ((r -> r) -> ((q -> q) -> (p -> p)))"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "-V", "p,q,r,s", "--team", "{" + worlds + "}", phi)
+    assert time.perf_counter() - start < 5
+    assert code == 0 and out.strip() == "true" and err == ""
+    code, out, _ = run(capsys, "eval", "-V", "p,q,r,s", "--team", "{1000,0100}", "p \\/ q",
+                       "--json")
+    assert code == 1 and json.loads(out) == {
+        "formula": "p \\/ q", "team": "{1000,0100}", "supported": False,
+    }
 
 
 def test_valid(capsys):

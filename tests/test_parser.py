@@ -48,8 +48,6 @@ from inqmt.structures import (
     Sequent,
     Sort,
     Sup,
-    children,
-    preorder,
 )
 
 from helpers import (
@@ -59,6 +57,7 @@ from helpers import (
     rand_general_structure,
     rand_inql,
     ref_derivation_to_sexp,
+    ref_occurrences,
     ref_parse_derivation,
     weakening_chain,
 )
@@ -519,7 +518,7 @@ def _partly_read_scripts():
     rng = random.Random(16)
     for _ in range(80):
         s = rng.choice((rand_flat_structure, rand_general_structure))(rng, 3)
-        parts = [t for _, t in preorder(s, children)][1:]
+        parts = [t for _, t, _ in ref_occurrences(s)][1:]
         leaves = rng.sample(parts, min(len(parts), rng.randrange(4)))
         premises = "".join(f' (rule "x" (seq "{print_term(t)}" "{print_term(t)}"))' for t in leaves)
         yield f'(rule "r" (seq "{print_term(s)}" "{print_term(s)}"){premises})'

@@ -5,17 +5,7 @@ import pytest
 from inqmt.errors import MixedSortError
 from inqmt.formulas import Cap, FVar, subterms, variables
 from inqmt.parser import parse_sequent, parse_structure
-from inqmt.structures import (
-    PHI,
-    Comma,
-    Derivation,
-    FlatFml,
-    Sequent,
-    iter_paths,
-    operational_terms,
-    replace_at,
-    structure_at,
-)
+from inqmt.structures import Derivation, Sequent, operational_terms
 
 from helpers import rand_flat_structure, weakening_chain
 
@@ -23,49 +13,6 @@ from helpers import rand_flat_structure, weakening_chain
 def test_sequent_constructor_enforces_uniformity():
     with pytest.raises(MixedSortError):
         Sequent(parse_structure("p"), parse_structure("Dn(p)"))
-
-
-def test_paths_address_every_occurrence():
-    seq = parse_sequent("(p , q) |> r |- F(Dn(0))")
-    found = dict(iter_paths(seq))
-    assert found[("ant",)] == seq.antecedent
-    assert found[("ant", 0, 1)] == FlatFml(FVar("q"))
-    assert found[("suc", 0, 0)] == parse_structure("0")
-    for path, sub in found.items():
-        assert structure_at(seq, path) == sub
-
-
-def test_paths_are_in_preorder():
-    seq = parse_sequent("(p , q) |> r |- F(Dn(0))")
-    assert [path for path, _ in iter_paths(seq)] == [
-        ("ant",), ("ant", 0), ("ant", 0, 0), ("ant", 0, 1), ("ant", 1),
-        ("suc",), ("suc", 0), ("suc", 0, 0),
-    ]
-
-
-def test_paths_of_a_deep_chain():
-    s = FlatFml(FVar("p"))
-    for _ in range(5000):
-        s = Comma(s, FlatFml(FVar("q")))
-    count, deepest = 0, ()
-    for path, _ in iter_paths(Sequent(s, PHI)):
-        count += 1
-        if len(path) > len(deepest):
-            deepest = path
-    assert count == 2 * 5000 + 2
-    assert deepest == ("ant",) + (0,) * 5000
-
-
-def test_replace_at_round_trips():
-    rng = random.Random(50)
-    for _ in range(80):
-        seq = Sequent(rand_flat_structure(rng, 3), rand_flat_structure(rng, 3))
-        paths = list(iter_paths(seq))
-        path, sub = paths[rng.randrange(len(paths))]
-        unchanged = replace_at(seq, path, sub)
-        assert unchanged == seq
-        swapped = replace_at(seq, path, FlatFml(FVar("zz")))
-        assert structure_at(swapped, path) == FlatFml(FVar("zz"))
 
 
 def test_operational_terms_and_coverage():
@@ -107,6 +54,49 @@ def test_nodes_of_a_deep_derivation():
     assert [len(addr) for addr, _ in d.nodes()] == list(range(5000))
 
 
+def _rand_derivation(rng, depth):
+    """A derivation tree of up to three premises a node, its rule names
+    numbered so that every node differs from every other."""
+    seq = Sequent(rand_flat_structure(rng, 2), rand_flat_structure(rng, 2))
+    width = rng.randrange(4) if depth else 0
+    premises = tuple(_rand_derivation(rng, depth - 1) for _ in range(width))
+    return Derivation(seq, f"r{rng.randrange(10**6)}", premises)
+
+
+def _ref_preorder(d, addr=()):
+    yield addr, d
+    for i, p in enumerate(d.premises):
+        yield from _ref_preorder(p, addr + (i,))
+
+
+def test_derivation_nodes_are_in_preorder():
+    rng = random.Random(51)
+    for _ in range(80):
+        d = _rand_derivation(rng, 4)
+        got = list(d.nodes())
+        assert [addr for addr, _ in got] == [addr for addr, _ in _ref_preorder(d)]
+        for addr, node in got:
+            assert d.at(addr) is node
+
+
+def test_derivation_replace_round_trips():
+    rng = random.Random(50)
+    for _ in range(80):
+        d = _rand_derivation(rng, 4)
+        addrs = [addr for addr, _ in d.nodes()][1:]
+        if not addrs:
+            continue
+        addr = rng.choice(addrs)
+        assert d.replace(addr, d.at(addr)) == d
+        leaf = Derivation(parse_sequent("zz |- zz"), "Id")
+        swapped = d.replace(addr, leaf)
+        assert swapped.at(addr) is leaf
+        # every node off the replaced one's path is shared, not remade
+        for other, node in d.nodes():
+            if other[:len(addr)] != addr and addr[:len(other)] != other:
+                assert swapped.at(other) is node
+
+
 def test_deep_derivations_compare_and_hash_without_recursion():
     a, b = weakening_chain(1000), weakening_chain(1000)
     assert a is not b and a == b and hash(a) == hash(b)
@@ -115,25 +105,22 @@ def test_deep_derivations_compare_and_hash_without_recursion():
     other = b.replace(leaf, Derivation(parse_sequent("p |- p"), "Ax"))
     assert a != other and other.at(leaf).rule == "Ax"
     assert a != b.replace(leaf, Derivation(parse_sequent("q |- q"), "Id"))
-    # the active path is not compared; shape is
-    assert Derivation(a.conclusion, "W", a.premises, ("ant", 0)) == a
     assert Derivation(a.conclusion, "W", a.premises + a.premises) != a
 
 
 def test_derivation_repr_is_the_dataclass_form_at_any_depth():
     seq = parse_sequent("p |- p")
     leaf = Derivation(seq, "Id")
-    pair = Derivation(seq, "capR", (leaf, leaf), ("ant",))
+    pair = Derivation(seq, "capR", (leaf, leaf))
     side = "FlatFml(formula=FVar(name='p'))"
     text = f"Sequent(antecedent={side}, succedent={side})"
-    leaf_text = f"Derivation(conclusion={text}, rule='Id', premises=(), active=None)"
+    leaf_text = f"Derivation(conclusion={text}, rule='Id', premises=())"
     assert repr(leaf) == leaf_text
     assert repr(pair) == (
-        f"Derivation(conclusion={text}, rule='capR', premises=({leaf_text}, {leaf_text}),"
-        " active=('ant',))"
+        f"Derivation(conclusion={text}, rule='capR', premises=({leaf_text}, {leaf_text}))"
     )
     d = leaf
     for _ in range(9_999):
         d = Derivation(seq, "W", (d,))
     head = f"Derivation(conclusion={text}, rule='W', premises=("
-    assert repr(d) == head * 9_999 + leaf_text + ",), active=None)" * 9_999
+    assert repr(d) == head * 9_999 + leaf_text + ",))" * 9_999
