@@ -104,7 +104,7 @@ def _match_sequent(pat: Sequent, val: Sequent, bnd) -> bool:
     metavariable to the non-meta term it covers; a metavariable met again
     must cover the same term.  An explicit stack of (pattern, term) pairs,
     the antecedent first and left parts first."""
-    todo = [(pat.succedent, val.succedent), (pat.antecedent, val.antecedent)]
+    todo = [(pat, val)]
     while todo:
         pat, val = todo.pop()
         allowed = _META_RANGE.get(type(pat))
@@ -332,8 +332,7 @@ def audit_soundness(
     groups: dict = {}  # variables -> the indices of the exhaustive nodes over them
     for i, (addr, node) in enumerate(d.nodes()):
         seqs = (*(p.conclusion for p in node.premises), node.conclusion)
-        sides = [t for seq in seqs for t in (seq.antecedent, seq.succedent)]
-        names = tuple(sorted(variables(*sides)))
+        names = tuple(sorted(variables(*seqs)))
         nodes.append((addr, node, seqs, names))
         if ctx.n_teams ** len(names) <= max_exhaustive:
             groups.setdefault(names, []).append(i)
@@ -375,11 +374,6 @@ def audit_soundness(
 
 # ---------------------------------------------------------------------------
 # Schema-level soundness (denotation-level, metavariables quantified)
-
-
-def _meta_polarities(schema: RuleSchema) -> dict:
-    """Polarity set of every metavariable occurrence across the schema."""
-    return _compile_sequents(0, (*schema.premises, schema.conclusion)).polarities
 
 
 def _meta_domains(pols: dict, alg: TeamAlgebra, downsets) -> list[tuple]:
@@ -460,7 +454,7 @@ def _surgical_counterexample(alg: TeamAlgebra, search, downsets):
     for text in _CUT_CONTEXTS:
         consumer = pseq(text)
         compiler = Compiler(alg.full_team).add_sequent(pseq("G |- a")).add_sequent(consumer)
-        compiler.add_sequent(Sequent(fold(consumer.antecedent, put), fold(consumer.succedent, put)))
+        compiler.add_sequent(fold(consumer, put))
         others = compiler.leaf_keys[2:]
         domains = [
             teams if isinstance(m, (mv.SMetaF, mv.FMetaF, mv.PMeta)) else downsets

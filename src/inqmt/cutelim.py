@@ -70,7 +70,7 @@ def find_principal_cuts(d: Derivation) -> list[CutSite]:
 
 
 def _dd(rule, ant, suc, *prems):
-    return Derivation(Sequent(ant, suc), rule, tuple(prems))
+    return Derivation(Sequent(ant, suc), rule, prems)
 
 
 # the pair structure of a conjunction-like connective -> its sort's

@@ -27,9 +27,11 @@ slots) or over a whole product of input domains in one staged search
 (search), where an operation runs once per value of the last input it
 reads rather than once per assignment.  It memoises the costly maps
 (downset, f, f*, heyting, co-implication) for its own lifetime, which is
-one public call: nothing is cached across calls.  A run of fails first
-empties the tables once they hold more than MEMO_BITS bits of values,
-so the independent draws of a sampled audit keep bounded memory.
+one public call: nothing is cached across calls.  A run of fails, and
+search at each value of its outermost input, first empties the tables
+once they hold more than MEMO_BITS bits of values, so neither the
+independent draws of a sampled audit nor an exhaustive search at four
+variables holds more than that.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ _UNARY = {
     FStarOf: (FSTAR, FAIL),
 }
 _OTHER = {ANT: SUC, SUC: ANT}
-# fails empties the machine's memo tables beyond this many bits of values:
-# 2,048 entries at four variables (16 MB), never reached at three
+# fails and search empty the machine's memo tables beyond this many bits
+# of values: 2,048 entries at four variables (16 MB), never reached at three
 MEMO_BITS = 1 << 27
 # markers of pending operations on the compiler's work stack
 _MAKE1, _MAKE2 = object(), object()
@@ -226,7 +228,7 @@ class Compiler:
 
 class Machine:
     """Runs programs over one algebra.  The memo tables live as long as
-    the machine, emptied by fails beyond MEMO_BITS; make one per public
+    the machine, emptied beyond MEMO_BITS (trim); make one per public
     call.
 
     fails and slots run a program root by root under one assignment.
@@ -289,12 +291,17 @@ class Machine:
             s += [0] * (prog.size - len(s))
             return s
 
-        def fails(prog: Program, values) -> bool:
-            """Whether every sequent root but the last holds and the last
-            does not; roots after the first failing one are not run."""
+        def trim() -> None:
+            """Empty the memo tables once they hold more than MEMO_BITS
+            bits of values."""
             if len(downs) + len(unions) + len(stars) + len(heys) + len(coimps) > most:
                 for memo in memos:
                     memo.clear()
+
+        def fails(prog: Program, values) -> bool:
+            """Whether every sequent root but the last holds and the last
+            does not; roots after the first failing one are not run."""
+            trim()
             s = start(prog, values)
             last = len(prog.segments) - 1
             for i, ops in enumerate(prog.segments):
@@ -399,6 +406,8 @@ class Machine:
                 checks = [t for t in tests[k] if (t[2] | t[3]) & live]
                 ends = last[k]
                 for pos[i], s[i] in enumerate(domains[i]):
+                    if not i:
+                        trim()
                     run(ops, s)
                     kill = 0
                     for a, c, f, h in checks:

@@ -32,7 +32,7 @@ from .structures import Comma, Derivation, DownOf, FOf, Gt, PHI, Semi, Sequent, 
 
 
 def _d(rule: str, ant, suc, *prems) -> Derivation:
-    return Derivation(Sequent(lift(ant), lift(suc)), rule, tuple(prems))
+    return Derivation(Sequent(lift(ant), lift(suc)), rule, prems)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +260,6 @@ def principal_cut_example(formula) -> Derivation:
         provider, consumer = steps if whole.rule == INTRODUCTIONS[type(formula)][1] else steps[::-1]
     ant, suc = provider.conclusion.antecedent, consumer.conclusion.succedent
     return _d("Cut", ant, suc, provider, consumer)
-
-
-def parametric_cut_example() -> Derivation:
-    """A cut that is not left-principal: weakening above the provider."""
-    p, q = FVar("p"), FVar("q")
-    provider = _d("W", Comma(lift(p), lift(q)), p, _d("Id", p, p))
-    consumer = _d("Id", p, p)
-    return _d("Cut", Comma(lift(p), lift(q)), p, provider, consumer)
 
 
 def corpus_derivations() -> dict[str, Derivation]:

@@ -1,18 +1,19 @@
 """The interned term layer, and formula ASTs for the three sorts.
 
-Every formula, structure and metavariable is a ``Term``: an immutable
-node whose fields are its constructor arguments.  Terms are hash-consed
-(Filliatre & Conchon, "Type-safe modular hash-consing", 2006): building
-a term returns the one live object with that class and those fields, so
-equal terms are the same object, ``==`` is identity and hashing costs
-O(1) at any depth.  The table holds its terms weakly, so a term nobody
-holds leaves it.  Terms are safe to share between concurrent readers.
+Every formula, structure, metavariable, sequent and derivation is a
+``Term``: an immutable node whose fields are its constructor arguments.
+Terms are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): building a term returns the one live object with
+that class and those fields, so equal terms are the same object, ``==``
+is identity and hashing costs O(1) at any depth.  The table holds its
+terms weakly, so a term nobody holds leaves it.  Terms are safe to share
+between concurrent readers.
 
 Trees are read through explicit-stack walks, so no depth of nesting
 costs interpreter frames: ``subterms`` yields every distinct subterm
 once, parents first, ``fold`` computes a value bottom-up from the
 values of each node's parts, and ``render`` writes a tree's text, as
-``repr`` of terms and derivations does.
+``repr`` of terms does.
 
 InqL formulas are the source language: a classical core (variables, 0,
 conjunction, implication) extended with inquisitive disjunction.  The
@@ -50,8 +51,10 @@ def _forget(entry: _Entry):
 class Term:
     """An interned node.  A subclass lists its fields in __slots__; every
     field holds a term, except the single name field of a named leaf
-    (variables and metavariables).  ``parts`` is the tuple of a node's
-    term fields, in order."""
+    (variables and metavariables), and a derivation's rule (a name) and
+    premises (a tuple of derivations).  ``parts`` is the tuple of a
+    node's fields, in order, and empty for a named leaf; subterms and
+    fold read it as terms, so they are not for derivations."""
 
     __slots__ = ("parts", "__weakref__")
 
@@ -92,12 +95,19 @@ class Term:
 
 
 def _call_pieces(t: Term) -> list:
-    """The constructor call of t, e.g. FVar(name='p'), with its parts
-    left as terms."""
+    """The constructor call of t, e.g. FVar(name='p'), with its parts,
+    and the members of a tuple field, left as terms."""
     pieces: list = [f"{type(t).__name__}("]
     for i, f in enumerate(t.__slots__):
         value = getattr(t, f)
-        pieces += (f"{', ' if i else ''}{f}=", value if isinstance(value, Term) else repr(value))
+        pieces.append(f"{', ' if i else ''}{f}=")
+        if type(value) is tuple:
+            pieces.append("(")
+            for j, member in enumerate(value):
+                pieces += (", ", member) if j else (member,)
+            pieces.append(",)" if len(value) == 1 else ")")
+        else:
+            pieces.append(value if isinstance(value, Term) else repr(value))
     pieces.append(")")
     return pieces
 

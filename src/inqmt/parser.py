@@ -431,14 +431,6 @@ def _mixed(ant_sort: Grammar, suc_sort: Grammar, text: str) -> MixedSortError:
     )
 
 
-def sequent_from_sides(ant_text: str, suc_text: str, pattern_mode: bool = False) -> Sequent:
-    ant, ant_sort = _Reader(ant_text, pattern_mode).side(EOF)
-    suc, suc_sort = _Reader(suc_text, pattern_mode).side(EOF)
-    if ant_sort is not suc_sort:
-        raise _mixed(ant_sort, suc_sort, f"{ant_text} |- {suc_text}")
-    return Sequent(ant, suc)
-
-
 def parse_sequent(text: str, pattern_mode: bool = False) -> Sequent:
     r = _Reader(text, pattern_mode)
     turnstiles = [pos for tok, pos in r.tokens if tok == "|-"]

@@ -197,9 +197,9 @@ def _validate_table(table: tuple[RuleSchema, ...] = _TABLE):
             directions.append(((s.conclusion,), s.premises[0], "reverse direction: "))
         cut = (s.premises[0].succedent.formula,) if s.name == "Cut" else ()
         for premises, conclusion, label in directions:
-            covered = set(subterms(conclusion.antecedent, conclusion.succedent, *cut))
+            covered = set(subterms(conclusion, *cut))
             for p in premises:
-                metas = [t for t in subterms(p.antecedent, p.succedent) if is_meta(t)]
+                metas = [t for t in subterms(p) if is_meta(t)]
                 lost = [t for t in metas + operational_terms(p) if t not in covered]
                 if lost:
                     raise AssertionError(

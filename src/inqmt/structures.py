@@ -5,20 +5,21 @@ applied to a General structure; General structures from Dn and Fs applied
 to Flat structures, semicolon, and the General arrow.  Operational
 formulas of either sort are admitted as atomic structures.
 
-A derivation is a tree of sequents labelled with rule names, and nothing
-more: a rule instance is read from its sequents alone (the surgical
-cut's hole among them, see calculus).  Its nodes are addressed by tuples
-of premise indices from the root.
+Sequents and derivations are interned terms too (see formulas), so equal
+ones are one object.  A sequent's parts are its two sides; a sequent
+mixing the sorts cannot be built.  A derivation is a tree of sequents
+labelled with rule names, and nothing more: a rule instance is read from
+its sequents alone (the surgical cut's hole among them, see calculus).
+Its nodes are addressed by tuples of premise indices from the root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
 
 from .errors import MixedSortError
-from .formulas import FlatFormula, GeneralFormula, Term, render, subterms
+from .formulas import FlatFormula, GeneralFormula, Term, subterms
 
 
 class Sort(Enum):
@@ -115,16 +116,13 @@ def children(s: Structure) -> tuple[Structure, ...]:
 # Sequents
 
 
-@dataclass(frozen=True)
-class Sequent:
-    antecedent: Structure
-    succedent: Structure
+class Sequent(Term):
+    __slots__ = ("antecedent", "succedent")
 
-    def __post_init__(self):
-        if structure_sort(self.antecedent) is not structure_sort(self.succedent):
-            raise MixedSortError(
-                f"sequent mixes sorts: {self.antecedent} |- {self.succedent}"
-            )
+    def __new__(cls, antecedent: Structure, succedent: Structure):
+        if structure_sort(antecedent) is not structure_sort(succedent):
+            raise MixedSortError(f"sequent mixes sorts: {antecedent} |- {succedent}")
+        return Term.__new__(cls, antecedent, succedent)
 
     @property
     def sort(self) -> Sort:
@@ -137,43 +135,23 @@ class Sequent:
 def operational_terms(seq: Sequent) -> list[FlatFormula | GeneralFormula]:
     """The distinct formulas embedded in a sequent as atomic structures,
     in pre-order."""
-    return [t.formula for t in subterms(seq.antecedent, seq.succedent) if type(t) in _LIFTS]
+    return [t.formula for t in subterms(seq) if type(t) in _LIFTS]
 
 
 # ---------------------------------------------------------------------------
 # Derivations
 
 
-@dataclass(frozen=True, eq=False)
-class Derivation:
-    """Two derivations are equal when their trees have the same shape
-    and the same conclusion and rule at every node.  Equality and
-    hashing walk an explicit stack, so no depth makes them recurse."""
+class Derivation(Term):
+    """Equal derivations, the same tree of conclusions and rules, are one
+    object.  Its premises are fields, not term parts (see Term)."""
 
-    conclusion: Sequent
-    rule: str
-    premises: tuple["Derivation", ...] = ()
+    __slots__ = ("conclusion", "rule", "premises")
 
-    def _shapes(self) -> Iterator[tuple[Sequent, str, int]]:
-        """(conclusion, rule, premise count) of every node, in pre-order;
-        the counts make the sequence determine the tree."""
-        todo = [self]
-        while todo:
-            d = todo.pop()
-            yield d.conclusion, d.rule, len(d.premises)
-            todo.extend(reversed(d.premises))
+    def __new__(cls, conclusion: Sequent, rule: str, premises=()):
+        return Term.__new__(cls, conclusion, rule, tuple(premises))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self is other or all(a == b for a, b in zip(self._shapes(), other._shapes()))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._shapes()))
-
-    def __repr__(self) -> str:
-        """The dataclass form, rendered without recursion."""
-        return render(self, _derivation_pieces)
+    __str__ = Term.__repr__
 
     def nodes(self) -> Iterator[tuple[tuple[int, ...], "Derivation"]]:
         """All nodes with their tree addresses, root first, parents before
@@ -210,13 +188,5 @@ class Derivation:
         for d, i in zip(reversed(spine), reversed(addr)):
             kids = list(d.premises)
             kids[i] = sub
-            sub = Derivation(d.conclusion, d.rule, tuple(kids))
+            sub = Derivation(d.conclusion, d.rule, kids)
         return sub
-
-
-def _derivation_pieces(d: Derivation) -> list:
-    pieces: list = [f"Derivation(conclusion={d.conclusion!r}, rule={d.rule!r}, premises=("]
-    for i, p in enumerate(d.premises):
-        pieces += (", ", p) if i else (p,)
-    pieces.append(f"{',' if len(d.premises) == 1 else ''}))")
-    return pieces

@@ -1,10 +1,12 @@
 """Bounded random generators shared across the test modules, checks
 that only the tests run (the pointwise support shortcut, the restricted
-Hilbert axioms, modus ponens, the algebraic flatness test), a recursive
-reference evaluator for denotations, reference searches for
-the audit and for schema soundness, the per-node operational-subterm
-lint, a reference search for the surgical cut's hole, and a node-by-node
-reference reader and printer of derivation scripts."""
+Hilbert axioms, modus ponens, the algebraic flatness test), a cut that
+is not principal, a recursive reference evaluator for denotations, the
+polarities of a schema's metavariables, reference searches for the
+audit and for schema soundness, the per-node operational-subterm lint,
+a reference search for the surgical cut's hole, and a node-by-node
+reference reader (reading each side on its own) and printer of
+derivation scripts."""
 
 import random
 from itertools import product
@@ -35,7 +37,7 @@ from inqmt.formulas import (
     subterms,
     variables,
 )
-from inqmt.parser import _SEXP_TOKEN_RE, EOF, _tokenize, print_term, sequent_from_sides
+from inqmt.parser import _SEXP_TOKEN_RE, EOF, _Reader, _mixed, _tokenize, print_term
 from inqmt.rules import pseq
 from inqmt.structures import (
     Comma,
@@ -116,13 +118,20 @@ def plant_leaf(d, rng):
     leaves = []
     for addr, parent in d.nodes():
         seqs = [n.conclusion for n in (parent, *parent.premises)]
-        names = sorted(variables(*(t for seq in seqs for t in (seq.antecedent, seq.succedent))))
+        names = sorted(variables(*seqs))
         if names:
             leaves += [(addr + (i,), names) for i, p in enumerate(parent.premises) if not p.premises]
     addr, names = rng.choice(leaves)
     left = rng.choice(names)
     right = rng.choice([FlatFml(FVar(n)) for n in names if n != left] + [FlatFml(FZERO)])
     return d.replace(addr, Derivation(Sequent(FlatFml(FVar(left)), right), "Id"))
+
+
+def parametric_cut_example():
+    """A cut that is not left-principal: weakening above the provider."""
+    p, pq = FlatFml(FVar("p")), Comma(FlatFml(FVar("p")), FlatFml(FVar("q")))
+    provider = Derivation(Sequent(pq, p), "W", (Derivation(Sequent(p, p), "Id"),))
+    return Derivation(Sequent(pq, p), "Cut", (provider, Derivation(Sequent(p, p), "Id")))
 
 
 def weakening_chain(nodes):
@@ -299,6 +308,14 @@ def ref_audit(d, ctx, samples=10_000, max_exhaustive=100_000, seed=0):
     return report
 
 
+def meta_polarities(schema):
+    """Polarity set of every metavariable occurrence across the schema."""
+    compiler = Compiler(0)
+    for seq in (*schema.premises, schema.conclusion):
+        compiler.add_sequent(seq)
+    return compiler.polarities
+
+
 def ref_schema_counterexample(schema, ctx, cut_contexts):
     """schema_soundness_counterexample, searching each direction of the
     schema, and each surgical consumer context, with its own product loop."""
@@ -430,6 +447,15 @@ def _string_tok(tokens, i):
     return tok[1:-1], i + 1
 
 
+def sequent_from_sides(ant_text, suc_text, pattern_mode=False):
+    """The sequent of two side texts, each read on its own."""
+    ant, ant_sort = _Reader(ant_text, pattern_mode).side(EOF)
+    suc, suc_sort = _Reader(suc_text, pattern_mode).side(EOF)
+    if ant_sort is not suc_sort:
+        raise _mixed(ant_sort, suc_sort, f"{ant_text} |- {suc_text}")
+    return Sequent(ant, suc)
+
+
 def ref_parse_derivation(text):
     """parse_derivation node by node: a node's sides are read with
     sequent_from_sides once its premises are read, so in post-order."""
@@ -449,7 +475,7 @@ def ref_parse_derivation(text):
             premise, i = node(i)
             premises.append(premise)
         i = _expect_tok(tokens, i, ")")
-        return Derivation(sequent_from_sides(ant, suc), name, tuple(premises)), i
+        return Derivation(sequent_from_sides(ant, suc), name, premises), i
 
     d, i = node(0)
     if tokens[i][0] != EOF:

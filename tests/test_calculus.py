@@ -16,7 +16,6 @@ from inqmt.calculus import (
     match_name,
     polarity_of,
     schema_soundness_counterexample,
-    _meta_polarities,
 )
 from inqmt.contexts import Context
 from inqmt.cutelim import reduce_all
@@ -43,6 +42,7 @@ from inqmt.structures import (
 )
 
 from helpers import (
+    meta_polarities,
     plant_leaf,
     rand_flat,
     rand_flat_structure,
@@ -260,6 +260,18 @@ def test_sampled_audit_memory_does_not_grow_with_the_draws():
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
+def test_exhaustive_audit_memory_is_bounded_at_four_variables():
+    # one variable, so all 65,536 assignments are searched; the staged
+    # search keeps each down-set it computes unless its tables are emptied
+    node = Derivation(parse_sequent("Dn(p) |- Dn(p) ; Dn(p)"), "C")
+    tracemalloc.start()
+    report = audit_soundness(node, Context.of("p,q,r,s"))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert report.ok and report.assignments_checked == 65_536 and not report.sampled_nodes
+    assert peak < 64 * 2**20, peak
+
+
 LEMMA_SCRIPTS = corpus.LEMMA52 + corpus.APPENDIX
 P2 = Context.of("p,q")
 
@@ -339,7 +351,7 @@ def test_structure_metavariables_have_consistent_polarity():
     for s in rule_table():
         if s.name == "Cut":
             continue
-        for meta, pols in _meta_polarities(s).items():
+        for meta, pols in meta_polarities(s).items():
             if isinstance(meta, (mv.SMetaF, mv.SMetaG)):
                 assert len(pols) == 1, (s.variant, meta)
 

@@ -14,7 +14,6 @@ from inqmt.cutelim import (
 )
 from inqmt.derivations import (
     identity,
-    parametric_cut_example,
     principal_cut_example,
 )
 from inqmt.errors import UnsupportedPatternError
@@ -28,6 +27,8 @@ from inqmt.formulas import (
     GImp,
     GOr,
 )
+
+from helpers import parametric_cut_example
 
 p, q, r = FVar("p"), FVar("q"), FVar("r")
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from inqmt import formulas
 from inqmt.errors import MixedSortError
 from inqmt.formulas import Cap, FVar, subterms, variables
 from inqmt.parser import parse_sequent, parse_structure
@@ -99,7 +100,7 @@ def test_derivation_replace_round_trips():
 
 def test_deep_derivations_compare_and_hash_without_recursion():
     a, b = weakening_chain(1000), weakening_chain(1000)
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     # the same chain but for the deepest leaf
     leaf = (0,) * 999
     other = b.replace(leaf, Derivation(parse_sequent("p |- p"), "Ax"))
@@ -124,3 +125,46 @@ def test_derivation_repr_is_the_dataclass_form_at_any_depth():
         d = Derivation(seq, "W", (d,))
     head = f"Derivation(conclusion={text}, rule='W', premises=("
     assert repr(d) == head * 9_999 + leaf_text + ",))" * 9_999
+
+
+def test_equal_sequents_and_derivations_are_one_object():
+    ant, suc = parse_structure("p , q"), parse_structure("p & q")
+    seq = Sequent(ant, suc)
+    assert Sequent(parse_structure("p , q"), parse_structure("p & q")) is seq
+    assert parse_sequent("p , q |- p & q") is seq
+    leaves = [Derivation(parse_sequent(f"{v} |- {v}"), "Id") for v in "pq"]
+    d = Derivation(seq, "capR", leaves)
+    assert Derivation(parse_sequent("p , q |- p & q"), "capR", tuple(leaves)) is d
+    assert Derivation(seq, "capR", leaves[::-1]) is not d
+    assert Derivation(seq, "capL", leaves) is not d
+
+
+def test_a_dropped_chain_leaves_the_table():
+    before = len(formulas._TABLE)
+    d = weakening_chain(10_000)
+    assert len(formulas._TABLE) > before + 10_000
+    del d
+    assert len(formulas._TABLE) == before
+
+
+def test_mixed_sorts_raise_for_interned_sides():
+    flat, general = parse_structure("p"), parse_structure("Dn(p)")
+    assert parse_sequent("p |- p").antecedent is flat
+    assert parse_sequent("Dn(p) |- Dn(p)").antecedent is general
+    for ant, suc in ((flat, general), (general, flat)):
+        with pytest.raises(MixedSortError):
+            Sequent(ant, suc)
+
+
+def test_derivation_stores_its_premises_as_a_tuple():
+    leaf = Derivation(parse_sequent("p |- p"), "Id")
+    assert leaf.premises == ()
+    d = Derivation(parse_sequent("p , q |- p"), "W", [leaf])
+    assert d.premises == (leaf,) and type(d.premises) is tuple
+    assert Derivation(d.conclusion, "W", (leaf,)) is d
+
+
+def test_subterms_and_variables_read_both_sides_of_a_sequent():
+    seq = parse_sequent("p & q |- r ~> 0")
+    assert variables(seq) == {"p", "q", "r"}
+    assert list(subterms(seq)) == [seq, *subterms(seq.antecedent, seq.succedent)]
