@@ -1,10 +1,16 @@
 """Derivation checking and per-instance semantic soundness auditing.
 
-Checking matches every node of a derivation against the schemas
-registered under its rule name; double-line schemas are tried in both
-directions.  A rule instance is read from its sequents alone.  The
-surgical Flat cut walks its consumer premise and its conclusion side by
-side: they differ at one antecedent-part position only, the hole, where
+Checking matches every distinct node of a derivation, once, against the
+schemas registered under its rule name; double-line schemas are tried in
+both directions.  Equal subderivations are one interned node, and a
+node's verdict reads only its own rule and sequents, so each occurrence
+of it shares that verdict.  Node addresses are made only for what is
+reported: the first failing node of a rejected derivation, and the
+per-node records, which are built when first read.
+
+A rule instance is read from its sequents alone.  The surgical Flat cut
+walks its consumer premise and its conclusion side by side: they differ
+at one antecedent-part position only, the hole, where
 the consumer holds the cut formula and the conclusion the provider's
 antecedent; a match reports the hole's path (see polarity_of).  Shape
 matching is the whole check: the operational-subterm condition C1
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import metavars as mv
@@ -219,11 +226,22 @@ class NodeRecord:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """The verdict on a derivation.  The per-node records are built from
+    the verdicts of its distinct nodes when first read, in pre-order."""
+
     ok: bool
-    records: tuple[NodeRecord, ...]
+    derivation: Derivation = field(repr=False, compare=False)
+    verdicts: dict = field(repr=False, compare=False)  # node -> its record's last three fields
     error_addr: tuple[int, ...] | None = None
     error_rule: str | None = None
     reason: str | None = None
+
+    @cached_property
+    def records(self) -> tuple[NodeRecord, ...]:
+        verdicts = self.verdicts
+        return tuple(
+            NodeRecord(addr, node.rule, *verdicts[node]) for addr, node in self.derivation.nodes()
+        )
 
     def lines(self) -> list[str]:
         out = []
@@ -245,23 +263,31 @@ def _check_node(node: Derivation) -> tuple[Optional[MatchBinding], str, str]:
         return None, f"unknown rule {node.rule!r}", ""
     if all(s.n_premises != len(premises) for s in family):
         return None, f"{node.rule} takes a different number of premises", ""
-    return None, f"shape mismatch for {node.rule}", ""
+    tried = ", ".join(s.variant for s in family)
+    return None, f"shape mismatch for {node.rule}: tried {tried}", ""
 
 
 def check_derivation(d: Derivation) -> CheckResult:
-    records: list[NodeRecord] = []
-    first_error: tuple | None = None
-    for addr, node in d.nodes():
+    """Match each distinct node of d once.  The first failing node in
+    pre-order is reported; an accepted derivation makes no address."""
+    verdicts: dict = {}  # node -> (status, variant, note)
+    failed = False
+    todo = [d]
+    while todo:
+        node = todo.pop()
+        if node in verdicts:
+            continue
         m, reason, note = _check_node(node)
         if m is None:
-            records.append(NodeRecord(addr, node.rule, "error", note=reason))
-            if first_error is None:
-                first_error = (addr, node.rule, reason)
+            verdicts[node] = ("error", "", reason)
+            failed = True
         else:
-            records.append(NodeRecord(addr, node.rule, "ok", m.schema.variant, note))
-    if first_error is None:
-        return CheckResult(True, tuple(records))
-    return CheckResult(False, tuple(records), *first_error)
+            verdicts[node] = ("ok", m.schema.variant, note)
+        todo += node.premises
+    if not failed:
+        return CheckResult(True, d, verdicts)
+    addr, node = next((a, n) for a, n in d.nodes() if verdicts[n][0] == "error")
+    return CheckResult(False, d, verdicts, addr, node.rule, verdicts[node][2])
 
 
 def _compile_sequents(top: int, sequents) -> Compiler:

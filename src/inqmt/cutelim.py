@@ -212,19 +212,19 @@ def reduce_all(d: Derivation, fuel: int = 100) -> tuple[Derivation, ReduceReport
     matches or the fuel runs out; parametric cuts are left in place."""
     report = ReduceReport()
     while True:
-        sites = find_principal_cuts(d)
-        if not sites:
+        sites = find_cut_sites(d)
+        principal = [s for s in sites if s.principal]
+        if not principal:
             break
         if fuel <= 0:
             report.fuel_exhausted = True
             break
-        site = sites[0]
+        site = principal[0]
         d, note = _rewrite_at(d, site)
         report.steps.append(ReduceStep(site.addr, str(site.formula), note))
         fuel -= 1
-    remaining = find_cut_sites(d)
-    report.remaining_cuts = len(remaining)
-    report.remaining_principal = len([s for s in remaining if s.principal])
+    report.remaining_cuts = len(sites)
+    report.remaining_principal = len(principal)
     return d, report
 
 

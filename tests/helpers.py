@@ -14,7 +14,15 @@ from itertools import product
 from inqmt import metavars as mv
 from inqmt import teams
 from inqmt.algebra import for_context
-from inqmt.calculus import AuditNode, AuditReport, AuditViolation, Polarity, _meta_domains
+from inqmt.calculus import (
+    AuditNode,
+    AuditReport,
+    AuditViolation,
+    NodeRecord,
+    Polarity,
+    _check_node,
+    _meta_domains,
+)
 from inqmt.denote import Compiler, Machine
 from inqmt.errors import InqmtError, NotClassicalError, ParseError
 from inqmt.formulas import (
@@ -358,6 +366,26 @@ def ref_schema_counterexample(schema, ctx, cut_contexts):
             if fails(prog, values):
                 return {m.name: v for m, v in zip(metas, values)}
     return None
+
+
+# ---------------------------------------------------------------------------
+# Derivation checking, one node occurrence at a time.
+
+
+def ref_check(d):
+    """(ok, records, error_addr, error_rule, reason) of d: every node
+    occurrence matched on its own, in pre-order, with its address, and
+    the first failing one reported."""
+    records, first_error = [], (None, None, None)
+    for addr, node in d.nodes():
+        m, reason, note = _check_node(node)
+        if m is None:
+            records.append(NodeRecord(addr, node.rule, "error", note=reason))
+            if first_error[0] is None:
+                first_error = (addr, node.rule, reason)
+        else:
+            records.append(NodeRecord(addr, node.rule, "ok", m.schema.variant, note))
+    return (first_error[0] is None, tuple(records), *first_error)
 
 
 # ---------------------------------------------------------------------------

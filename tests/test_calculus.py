@@ -50,6 +50,7 @@ from helpers import (
     rand_general_structure,
     ref_audit,
     ref_c1_lint,
+    ref_check,
     ref_match_surgical,
     ref_replace,
     ref_schema_counterexample,
@@ -167,10 +168,72 @@ def test_check_derivation_rejects_bad_shapes():
     assert not result.ok
     assert result.error_addr == ()
     assert "shape mismatch" in result.reason
+    # a shape mismatch names the variants tried, in FAMILIES order
+    assert result.reason == "shape mismatch for d adj: tried d adj"
+    weakened = Derivation(parse_sequent("p |- q"), "W", (identity(FVar("p")),))
+    assert check_derivation(weakened).reason == (
+        "shape mismatch for W: tried W-L(Flat), W-R(Flat), W-L(Gen), W-R(Gen)"
+    )
     unknown = Derivation(parse_sequent("p |- p"), "IdX")
     assert "unknown rule" in check_derivation(unknown).reason
     wrong_arity = Derivation(parse_sequent("p |- p"), "Id", (identity(FVar("p")),))
     assert "premises" in check_derivation(wrong_arity).reason
+
+
+def _break_at(d, rng):
+    """d with one seeded node broken: its rule renamed, or its succedent
+    replaced by a formula no premise mentions."""
+    addr, node = rng.choice(list(d.nodes()))
+    if rng.random() < 0.5:
+        broken = Derivation(node.conclusion, rng.choice(sorted(rules.FAMILIES)), node.premises)
+    else:
+        zz = FVar("zz")
+        fresh = FlatFml(zz) if node.conclusion.sort is Sort.FLAT else GenFml(Down(zz))
+        broken = Derivation(Sequent(node.conclusion.antecedent, fresh), node.rule, node.premises)
+    return d.replace(addr, broken)
+
+
+def _assert_checks_as_ref(d):
+    result = check_derivation(d)
+    ok, records, error_addr, error_rule, reason = ref_check(d)
+    assert (result.ok, result.error_addr, result.error_rule, result.reason) == (
+        ok, error_addr, error_rule, reason
+    )
+    assert result.records == records
+    return result
+
+
+def test_check_derivation_matches_the_occurrence_loop():
+    rng = random.Random(20)
+    derivations = [corpus.load(name) for name in corpus.names()]
+    for _ in range(100):
+        derivations += [identity(rand_flat(rng, 4)), identity(rand_general(rng, 4))]
+    cuts = [FVar("p"), FZERO, Down(rand_flat(rng, 3))]
+    cuts += [shape(rand_flat(rng, 3), rand_flat(rng, 3)) for shape in (Cap, FImp)]
+    cuts += [shape(rand_general(rng, 3), rand_general(rng, 3)) for shape in (GAnd, GOr, GImp)]
+    for formula in cuts:
+        d = principal_cut_example(formula)
+        derivations += [d, reduce_all(d)[0]]
+    derivations += [weakening_chain(n) for n in (1, 2, 50)]
+    broken = [_break_at(d, rng) for d in derivations]
+    broken += [plant_leaf(corpus.load(n), rng) for n in LEMMA_SCRIPTS for _ in range(3)]
+    for d in derivations:
+        assert _assert_checks_as_ref(d).ok
+    rejected = sum(not _assert_checks_as_ref(d).ok for d in broken)
+    assert rejected > 0.8 * len(broken)
+
+
+def test_a_shared_broken_subderivation_fails_at_both_addresses():
+    # capR over one broken premise twice: the interned premise is matched
+    # once, and its verdict is read at both addresses
+    premise = Derivation(parse_sequent("p |- q"), "Id")
+    d = Derivation(parse_sequent("p , p |- q & q"), "capR", (premise, premise))
+    result = _assert_checks_as_ref(d)
+    assert not result.ok and result.error_addr == (0,) and result.error_rule == "Id"
+    assert [(r.addr, r.status) for r in result.records] == [
+        ((), "ok"), ((0,), "error"), ((1,), "error")
+    ]
+    assert result.records is result.records  # built once, when first read
 
 
 def test_metavariable_renaming_is_invisible():
@@ -446,7 +509,7 @@ def test_surgical_cut_matches_the_occurrence_search():
 def test_weakening_chain_checks_in_linear_time():
     # C1 is proved once per schema and the matcher compares bindings by
     # identity, so matching a node costs the same at every depth; only
-    # the node addresses grow with it
+    # the records' addresses grow with it, and they are made when read
     d = weakening_chain(1000)
     start = time.perf_counter()
     result = check_derivation(d)
@@ -461,6 +524,17 @@ def test_a_10000_node_chain_checks_without_recursion():
     result = check_derivation(d)
     assert time.perf_counter() - start < 10
     assert result.ok and len(result.records) == 10_000
+
+
+def test_checking_a_deep_chain_makes_no_addresses():
+    # an address per node, each as long as the node is deep, would take
+    # about 400 MB on this chain
+    d = weakening_chain(10_000)
+    tracemalloc.start()
+    ok = check_derivation(d).ok
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert ok and peak < 16 * 2**20, peak
 
 
 def _matched_nodes():
