@@ -55,7 +55,7 @@ from . import metavars as mv
 from .algebra import TeamAlgebra, for_context
 from .contexts import Context
 from .denote import _BINARY, _OTHER, ANT, SUC, Compiler, Machine, Polarity
-from .formulas import FVar, FlatFormula, GeneralFormula, fold, variables
+from .formulas import FVar, FlatFormula, GeneralFormula, fold, subterms, variables
 from .rules import FAMILIES, RuleSchema, pseq, rule_table
 from .structures import (
     Derivation,
@@ -63,6 +63,7 @@ from .structures import (
     FlatStructure,
     GeneralStructure,
     Sequent,
+    address,
     children,
 )
 
@@ -240,7 +241,8 @@ class CheckResult:
     def records(self) -> tuple[NodeRecord, ...]:
         verdicts = self.verdicts
         return tuple(
-            NodeRecord(addr, node.rule, *verdicts[node]) for addr, node in self.derivation.nodes()
+            NodeRecord(address(link), node.rule, *verdicts[node])
+            for link, node in self.derivation.nodes()
         )
 
     def lines(self) -> list[str]:
@@ -252,42 +254,29 @@ class CheckResult:
         return out
 
 
-def _check_node(node: Derivation) -> tuple[Optional[MatchBinding], str, str]:
-    """Returns (match, reason, note); match None means failure."""
+def _check_node(node: Derivation) -> tuple[str, str, str]:
+    """(status, variant, note) of a node; a failure's note is its reason."""
     premises = [p.conclusion for p in node.premises]
     m = match_name(node.rule, node.conclusion, premises)
     if m is not None:
-        return m, "", "extension: display postulate" if m.schema.extension else ""
+        return "ok", m.schema.variant, "extension: display postulate" if m.schema.extension else ""
     family = FAMILIES.get(node.rule)
     if not family:
-        return None, f"unknown rule {node.rule!r}", ""
+        return "error", "", f"unknown rule {node.rule!r}"
     if all(s.n_premises != len(premises) for s in family):
-        return None, f"{node.rule} takes a different number of premises", ""
+        return "error", "", f"{node.rule} takes a different number of premises"
     tried = ", ".join(s.variant for s in family)
-    return None, f"shape mismatch for {node.rule}: tried {tried}", ""
+    return "error", "", f"shape mismatch for {node.rule}: tried {tried}"
 
 
 def check_derivation(d: Derivation) -> CheckResult:
     """Match each distinct node of d once.  The first failing node in
     pre-order is reported; an accepted derivation makes no address."""
-    verdicts: dict = {}  # node -> (status, variant, note)
-    failed = False
-    todo = [d]
-    while todo:
-        node = todo.pop()
-        if node in verdicts:
-            continue
-        m, reason, note = _check_node(node)
-        if m is None:
-            verdicts[node] = ("error", "", reason)
-            failed = True
-        else:
-            verdicts[node] = ("ok", m.schema.variant, note)
-        todo += node.premises
-    if not failed:
+    verdicts = {node: _check_node(node) for node in subterms(d)}
+    if all(status == "ok" for status, _, _ in verdicts.values()):
         return CheckResult(True, d, verdicts)
-    addr, node = next((a, n) for a, n in d.nodes() if verdicts[n][0] == "error")
-    return CheckResult(False, d, verdicts, addr, node.rule, verdicts[node][2])
+    link, node = next((k, n) for k, n in d.nodes() if verdicts[n][0] == "error")
+    return CheckResult(False, d, verdicts, address(link), node.rule, verdicts[node][2])
 
 
 def _compile_sequents(top: int, sequents) -> Compiler:
@@ -356,10 +345,10 @@ def audit_soundness(
     teams = range(ctx.n_teams)
     nodes = []
     groups: dict = {}  # variables -> the indices of the exhaustive nodes over them
-    for i, (addr, node) in enumerate(d.nodes()):
+    for i, (link, node) in enumerate(d.nodes()):
         seqs = (*(p.conclusion for p in node.premises), node.conclusion)
         names = tuple(sorted(variables(*seqs)))
-        nodes.append((addr, node, seqs, names))
+        nodes.append((address(link), node, seqs, names))
         if ctx.n_teams ** len(names) <= max_exhaustive:
             groups.setdefault(names, []).append(i)
     outcome = {}  # exhaustive node index -> (checked, values at the first failure)

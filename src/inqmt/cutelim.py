@@ -24,7 +24,7 @@ from .calculus import match_name
 from .errors import UnsupportedPatternError
 from .formulas import Down, FImp, FVar, FZero, GImp, formula_size
 from .rules import INTRODUCTIONS
-from .structures import Comma, Derivation, DownOf, FOf, Gt, Semi, Sequent, Sup, lift
+from .structures import Comma, Derivation, DownOf, FOf, Gt, Semi, Sequent, Sup, address, lift
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def _cut_formula(node: Derivation):
 
 def find_cut_sites(d: Derivation) -> list[CutSite]:
     sites = []
-    for addr, node in d.nodes():
+    for link, node in d.nodes():
         if node.rule != "Cut" or len(node.premises) != 2:
             continue
         formula = _cut_formula(node)
@@ -57,7 +57,7 @@ def find_cut_sites(d: Derivation) -> list[CutSite]:
         atom = lift(formula)
         left_principal = left.rule == right_rule and left.conclusion.succedent == atom
         right_principal = right.rule == left_rule and right.conclusion.antecedent == atom
-        sites.append(CutSite(addr, formula, left_principal, right_principal))
+        sites.append(CutSite(address(link), formula, left_principal, right_principal))
     return sites
 
 

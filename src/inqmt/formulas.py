@@ -52,9 +52,10 @@ class Term:
     """An interned node.  A subclass lists its fields in __slots__; every
     field holds a term, except the single name field of a named leaf
     (variables and metavariables), and a derivation's rule (a name) and
-    premises (a tuple of derivations).  ``parts`` is the tuple of a
-    node's fields, in order, and empty for a named leaf; subterms and
-    fold read it as terms, so they are not for derivations."""
+    premises (a tuple of derivations).  ``parts`` is the tuple of the
+    terms below a node, which subterms and fold walk: a node's fields, in
+    order, none for a named leaf, and a derivation's premises, so a walk
+    over a derivation visits its distinct nodes and not their sequents."""
 
     __slots__ = ("parts", "__weakref__")
 

@@ -76,6 +76,7 @@ from .formulas import (
     GeneralFormula,
     flat_join,
     flat_neg,
+    fold,
     gen_neg,
     inq_dependence,
     inq_neg,
@@ -685,28 +686,22 @@ def _read_node(text: str, header: re.Match, nodes: list) -> int:
 
 
 def derivation_to_sexp(d: Derivation) -> str:
-    nodes: list = []  # (node, depth) in pre-order, or (None, 0) where a node closes
-    todo: list = [(d, 0)]
-    while todo:
-        node, depth = todo.pop()
-        nodes.append((node, depth))
-        if node is not None:
-            todo.append((None, 0))
-            todo.extend((p, depth + 1) for p in reversed(node.premises))
     texts: dict = {}  # each distinct side, and the formula of a lifted one -> its text
-    for node, _ in reversed(nodes):  # premises before their conclusions
-        if node is None:
-            continue
+
+    def print_sides(node, done):  # premises before their conclusions
         for side in (node.conclusion.antecedent, node.conclusion.succedent):
             if side not in texts:
                 texts[side] = print_term(side, texts)
                 if type(side) in _LIFTS:
                     texts[side.formula] = texts[side]
-    lines: list[str] = []
-    for node, depth in nodes:
-        if node is None:
-            lines[-1] += ")"
-        else:
-            ant, suc = texts[node.conclusion.antecedent], texts[node.conclusion.succedent]
-            lines.append(f'{"  " * depth}(rule "{node.rule}" (seq "{ant}" "{suc}")')
-    return "\n".join(lines) + "\n"
+
+    fold(d, print_sides)
+    out: list[str] = []
+    for (_, _, depth), node in d.nodes():
+        if out:  # close the nodes that end before this one, and the line
+            out.append(")" * (last + 1 - depth) + "\n")
+        ant, suc = texts[node.conclusion.antecedent], texts[node.conclusion.succedent]
+        out.append(f'{"  " * depth}(rule "{node.rule}" (seq "{ant}" "{suc}")')
+        last = depth
+    out.append(")" * (last + 1) + "\n")
+    return "".join(out)

@@ -10,7 +10,10 @@ ones are one object.  A sequent's parts are its two sides; a sequent
 mixing the sorts cannot be built.  A derivation is a tree of sequents
 labelled with rule names, and nothing more: a rule instance is read from
 its sequents alone (the surgical cut's hole among them, see calculus).
-Its nodes are addressed by tuples of premise indices from the root.
+A derivation's parts are its premises, so subterms and fold visit each
+distinct node once, and never its sequents.  Derivation.nodes walks
+every occurrence instead, each with a link to its parent, from which
+address builds the occurrence's tuple of premise indices from the root.
 """
 
 from __future__ import annotations
@@ -144,34 +147,32 @@ def operational_terms(seq: Sequent) -> list[FlatFormula | GeneralFormula]:
 
 class Derivation(Term):
     """Equal derivations, the same tree of conclusions and rules, are one
-    object.  Its premises are fields, not term parts (see Term)."""
+    object.  Its parts are its premises (see Term)."""
 
     __slots__ = ("conclusion", "rule", "premises")
 
     def __new__(cls, conclusion: Sequent, rule: str, premises=()):
-        return Term.__new__(cls, conclusion, rule, tuple(premises))
+        d = Term.__new__(cls, conclusion, rule, tuple(premises))
+        # built just now, with all three fields as parts; every holder of d
+        # got it from this constructor, so none reads those parts
+        if d.parts is not d.premises:
+            object.__setattr__(d, "parts", d.premises)
+        return d
 
     __str__ = Term.__repr__
 
-    def nodes(self) -> Iterator[tuple[tuple[int, ...], "Derivation"]]:
-        """All nodes with their tree addresses, root first, parents before
-        their premises and premises in order.  The walk keeps an explicit
-        stack and one mutable address, but hands out a copy of it at every
-        step, so a step costs O(depth)."""
-        yield (), self
-        addr: list = []
-        stack = [enumerate(self.premises)]
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                if stack:
-                    addr.pop()
-                continue
-            i, d = step
-            addr.append(i)
-            yield tuple(addr), d
-            stack.append(enumerate(d.premises))
+    def nodes(self) -> Iterator[tuple[tuple, "Derivation"]]:
+        """Every occurrence of a node, root first, parents before their
+        premises and premises in order, each with its link: (the parent's
+        link, premise index, depth), or (None, None, 0) at the root.  A
+        step costs O(1) at any depth; address(link) builds the address."""
+        todo: list = [((None, None, 0), self)]
+        while todo:
+            link, d = todo.pop()
+            yield link, d
+            depth = link[2] + 1
+            for i in range(len(d.premises) - 1, -1, -1):
+                todo.append(((link, i, depth), d.premises[i]))
 
     def at(self, addr: tuple[int, ...]) -> "Derivation":
         d = self
@@ -190,3 +191,14 @@ class Derivation(Term):
             kids[i] = sub
             sub = Derivation(d.conclusion, d.rule, kids)
         return sub
+
+
+def address(link: tuple) -> tuple[int, ...]:
+    """The premise indices from the root to the occurrence that link, from
+    Derivation.nodes, leads to."""
+    parent, i, depth = link
+    addr = [0] * depth
+    while depth:
+        addr[depth - 1] = i
+        parent, i, depth = parent
+    return tuple(addr)

@@ -2,7 +2,8 @@
 that only the tests run (the pointwise support shortcut, the restricted
 Hilbert axioms, modus ponens, the algebraic flatness test), a cut that
 is not principal, a recursive reference evaluator for denotations, the
-polarities of a schema's metavariables, reference searches for the
+polarities of a schema's metavariables, a walk over a derivation's
+nodes that copies the address at every step, reference searches for the
 audit and for schema soundness, the per-node operational-subterm lint,
 a reference search for the surgical cut's hole, and a node-by-node
 reference reader (reading each side on its own) and printer of
@@ -124,7 +125,7 @@ def plant_leaf(d, rng):
     """d with one leaf replaced by the unsound leaf v |- w or v |- 0, over
     variables its parent already has."""
     leaves = []
-    for addr, parent in d.nodes():
+    for addr, parent in ref_nodes(d):
         seqs = [n.conclusion for n in (parent, *parent.premises)]
         names = sorted(variables(*seqs))
         if names:
@@ -140,6 +141,16 @@ def parametric_cut_example():
     p, pq = FlatFml(FVar("p")), Comma(FlatFml(FVar("p")), FlatFml(FVar("q")))
     provider = Derivation(Sequent(pq, p), "W", (Derivation(Sequent(p, p), "Id"),))
     return Derivation(Sequent(pq, p), "Cut", (provider, Derivation(Sequent(p, p), "Id")))
+
+
+def shared_cut_example():
+    """capR over one weakened principal cut on p twice: the interned
+    subderivation, and its cut, sit at two addresses."""
+    p, q = FlatFml(FVar("p")), FlatFml(FVar("q"))
+    cut = Derivation(Sequent(p, p), "Cut", (Derivation(Sequent(p, p), "Id"),) * 2)
+    shared = Derivation(Sequent(Comma(p, q), p), "W", (cut,))
+    both = Sequent(Comma(Comma(p, q), Comma(p, q)), FlatFml(Cap(FVar("p"), FVar("p"))))
+    return Derivation(both, "capR", (shared, shared))
 
 
 def weakening_chain(nodes):
@@ -278,6 +289,31 @@ def ref_sequent_holds(seq, alg, env):
 
 
 # ---------------------------------------------------------------------------
+# The nodes of a derivation, every occurrence with its address
+
+
+def ref_nodes(d):
+    """All nodes with their tree addresses, root first, parents before
+    their premises and premises in order.  The walk keeps an explicit
+    stack and one mutable address, but hands out a copy of it at every
+    step, so a step costs O(depth)."""
+    yield (), d
+    addr: list = []
+    stack = [enumerate(d.premises)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if stack:
+                addr.pop()
+            continue
+        i, node = step
+        addr.append(i)
+        yield tuple(addr), node
+        stack.append(enumerate(node.premises))
+
+
+# ---------------------------------------------------------------------------
 # Reference searches: one program per rule instance, run once per
 # assignment over Machine.fails, assignments in product order.
 
@@ -288,7 +324,7 @@ def ref_audit(d, ctx, samples=10_000, max_exhaustive=100_000, seed=0):
     fails = Machine(alg).fails
     rng = random.Random(seed)
     report = AuditReport(seed=seed)
-    for addr, node in d.nodes():
+    for addr, node in ref_nodes(d):
         compiler = Compiler(alg.full_team)
         for p in node.premises:
             compiler.add_sequent(p.conclusion)
@@ -377,14 +413,11 @@ def ref_check(d):
     occurrence matched on its own, in pre-order, with its address, and
     the first failing one reported."""
     records, first_error = [], (None, None, None)
-    for addr, node in d.nodes():
-        m, reason, note = _check_node(node)
-        if m is None:
-            records.append(NodeRecord(addr, node.rule, "error", note=reason))
-            if first_error[0] is None:
-                first_error = (addr, node.rule, reason)
-        else:
-            records.append(NodeRecord(addr, node.rule, "ok", m.schema.variant, note))
+    for addr, node in ref_nodes(d):
+        status, variant, note = _check_node(node)
+        records.append(NodeRecord(addr, node.rule, status, variant, note))
+        if status == "error" and first_error[0] is None:
+            first_error = (addr, node.rule, note)
     return (first_error[0] is None, tuple(records), *first_error)
 
 

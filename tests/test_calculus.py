@@ -39,6 +39,7 @@ from inqmt.structures import (
     Semi,
     Sequent,
     Sort,
+    address,
 )
 
 from helpers import (
@@ -183,14 +184,14 @@ def test_check_derivation_rejects_bad_shapes():
 def _break_at(d, rng):
     """d with one seeded node broken: its rule renamed, or its succedent
     replaced by a formula no premise mentions."""
-    addr, node = rng.choice(list(d.nodes()))
+    link, node = rng.choice(list(d.nodes()))
     if rng.random() < 0.5:
         broken = Derivation(node.conclusion, rng.choice(sorted(rules.FAMILIES)), node.premises)
     else:
         zz = FVar("zz")
         fresh = FlatFml(zz) if node.conclusion.sort is Sort.FLAT else GenFml(Down(zz))
         broken = Derivation(Sequent(node.conclusion.antecedent, fresh), node.rule, node.premises)
-    return d.replace(addr, broken)
+    return d.replace(address(link), broken)
 
 
 def _assert_checks_as_ref(d):
@@ -563,7 +564,7 @@ def _matched_nodes():
     derivations += [weakening_chain(n) for n in (1, 2, 50)]
     for d in derivations:
         for _, node in d.nodes():
-            m = calculus._check_node(node)[0]
+            m = match_name(node.rule, node.conclusion, [p.conclusion for p in node.premises])
             if m is not None:
                 yield node, m
 

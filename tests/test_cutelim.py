@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import pytest
 
@@ -28,7 +30,7 @@ from inqmt.formulas import (
     GOr,
 )
 
-from helpers import parametric_cut_example
+from helpers import parametric_cut_example, shared_cut_example, weakening_chain
 
 p, q, r = FVar("p"), FVar("q"), FVar("r")
 
@@ -172,3 +174,24 @@ def test_multiset_ordering():
     assert not multiset_decreased([3], [3])
     assert not multiset_decreased([3], [4])
     assert multiset_decreased([2], [])
+
+
+def test_a_shared_cut_is_reported_at_each_of_its_addresses():
+    d = shared_cut_example()
+    assert check_derivation(d).ok
+    sites = [(s.addr, s.formula, s.principal) for s in find_cut_sites(d)]
+    assert sites == [((0, 0), p, True), ((1, 0), p, True)]
+    after, report = reduce_all(d)
+    assert [s.addr for s in report.steps] == [(0, 0), (1, 0)]
+    assert check_derivation(after).ok and not find_cut_sites(after)
+
+
+def test_cut_sites_of_a_deep_chain_are_found_in_linear_time():
+    # each node is one O(1) step of the walk; copying every node's address
+    # would make this quadratic in the depth
+    assert sys.getrecursionlimit() <= 1000
+    d = weakening_chain(30_000)
+    start = time.perf_counter()
+    sites = find_cut_sites(d)
+    assert time.perf_counter() - start < 0.5
+    assert sites == []

@@ -2,13 +2,20 @@ import random
 
 import pytest
 
-from inqmt import formulas
+from inqmt import corpus, formulas
+from inqmt.derivations import corpus_derivations
 from inqmt.errors import MixedSortError
 from inqmt.formulas import Cap, FVar, subterms, variables
 from inqmt.parser import parse_sequent, parse_structure
-from inqmt.structures import Derivation, Sequent, operational_terms
+from inqmt.structures import Derivation, Sequent, address, operational_terms
 
-from helpers import rand_flat_structure, weakening_chain
+from helpers import (
+    plant_leaf,
+    rand_flat_structure,
+    ref_nodes,
+    shared_cut_example,
+    weakening_chain,
+)
 
 
 def test_sequent_constructor_enforces_uniformity():
@@ -39,7 +46,7 @@ def test_derivation_tree_utilities():
         (leaf, Derivation(parse_sequent("q |- q"), "Id")),
     )
     assert tree.at((0,)) == leaf
-    assert [addr for addr, _ in tree.nodes()] == [(), (0,), (1,)]
+    assert [address(link) for link, _ in tree.nodes()] == [(), (0,), (1,)]
     other = Derivation(parse_sequent("p |- p"), "Id")
     swapped = tree.replace((1,), other)
     assert swapped.premises[1] == other and swapped.premises[0] == leaf
@@ -52,7 +59,7 @@ def test_nodes_of_a_deep_derivation():
     d = Derivation(seq, "Id")
     for _ in range(4999):
         d = Derivation(seq, "W", (d,))
-    assert [len(addr) for addr, _ in d.nodes()] == list(range(5000))
+    assert [len(address(link)) for link, _ in d.nodes()] == list(range(5000))
 
 
 def _rand_derivation(rng, depth):
@@ -74,17 +81,29 @@ def test_derivation_nodes_are_in_preorder():
     rng = random.Random(51)
     for _ in range(80):
         d = _rand_derivation(rng, 4)
-        got = list(d.nodes())
+        got = [(address(link), node) for link, node in d.nodes()]
         assert [addr for addr, _ in got] == [addr for addr, _ in _ref_preorder(d)]
         for addr, node in got:
             assert d.at(addr) is node
+
+
+def test_the_occurrence_walk_matches_the_reference_walk():
+    rng = random.Random(52)
+    derivations = [corpus.load(name) for name in corpus.names()]
+    derivations += corpus_derivations().values()
+    for name in corpus.LEMMA52 + corpus.APPENDIX:
+        derivations += [plant_leaf(corpus.load(name), rng) for _ in range(3)]
+    derivations += [shared_cut_example(), weakening_chain(300)]
+    for d in derivations:
+        got = [(address(link), link[2], node) for link, node in d.nodes()]
+        assert got == [(addr, len(addr), node) for addr, node in ref_nodes(d)]
 
 
 def test_derivation_replace_round_trips():
     rng = random.Random(50)
     for _ in range(80):
         d = _rand_derivation(rng, 4)
-        addrs = [addr for addr, _ in d.nodes()][1:]
+        addrs = [address(link) for link, _ in d.nodes()][1:]
         if not addrs:
             continue
         addr = rng.choice(addrs)
@@ -93,7 +112,8 @@ def test_derivation_replace_round_trips():
         swapped = d.replace(addr, leaf)
         assert swapped.at(addr) is leaf
         # every node off the replaced one's path is shared, not remade
-        for other, node in d.nodes():
+        for link, node in d.nodes():
+            other = address(link)
             if other[:len(addr)] != addr and addr[:len(other)] != other:
                 assert swapped.at(other) is node
 
