@@ -12,7 +12,6 @@ from .calculus import (
     check_rule_table_soundness,
     match_name,
     match_rule,
-    polarity_of,
 )
 from .contexts import Context
 from .cutelim import (
@@ -54,9 +53,7 @@ from .parser import (
     derivation_to_sexp,
     parse_derivation,
     parse_flat,
-    parse_flat_structure,
     parse_general,
-    parse_general_structure,
     parse_inql,
     parse_sequent,
     parse_structure,

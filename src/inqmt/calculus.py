@@ -8,17 +8,17 @@ of it shares that verdict.  Node addresses are made only for what is
 reported: the first failing node of a rejected derivation, and the
 per-node records, which are built when first read.
 
-A rule instance is read from its sequents alone.  The surgical Flat cut
-walks its consumer premise and its conclusion side by side: they differ
-at one antecedent-part position only, the hole, where
-the consumer holds the cut formula and the conclusion the provider's
-antecedent; a match reports the hole's path (see polarity_of).  Shape
-matching is the whole check: the operational-subterm condition C1
-(every formula of a premise is a subterm of the conclusion or of the cut
-formula) is proved once per schema when the rule table is built
-(rules._validate_table), so every matched node meets it.  Cuts match
-only sort-uniform cut-formula occurrences; sequents are type-uniform by
-construction.
+A rule instance is read from its sequents alone, and a match is the
+schema that matched.  The surgical Flat cut walks its consumer premise
+and its conclusion side by side: they differ at one antecedent-part
+position only, the hole, where the consumer holds the cut formula and
+the conclusion the provider's antecedent.  Either cut's cut formula is
+its first premise's succedent (cut_formula).  Shape matching is the
+whole check: the operational-subterm condition C1 (every formula of a
+premise is a subterm of the conclusion or of the cut formula) is proved
+once per schema when the rule table is built (rules._validate_table), so
+every matched node meets it.  Cuts match only sort-uniform cut-formula
+occurrences; sequents are type-uniform by construction.
 
 Auditing interprets each rule instance over the two algebras: a sequent
 holds under an assignment of teams to its variables when the antecedent
@@ -68,31 +68,6 @@ from .structures import (
 )
 
 
-def _flips(s) -> bool:
-    """Whether the structure s reads its first operand at the opposite
-    polarity (denote._BINARY): the first coordinate of the two arrows."""
-    shape = _BINARY.get(type(s))
-    return shape is not None and shape[2]
-
-
-def polarity_of(seq: Sequent, path: tuple) -> Polarity:
-    """Polarity of the occurrence that path addresses: "ant" or "suc",
-    then child indices (0 = left or only child, 1 = right), stopping at
-    the structure level.  A step into an operand keeps the parent
-    polarity, except into the first operand of an arrow."""
-    if path[0] not in ("ant", "suc"):
-        raise ValueError(f"path must start with 'ant' or 'suc': {path!r}")
-    pol, s = (ANT, seq.antecedent) if path[0] == "ant" else (SUC, seq.succedent)
-    for step in path[1:]:
-        kids = children(s)
-        if step >= len(kids):
-            raise ValueError(f"invalid path {path!r} at {s}")
-        if step == 0 and _flips(s):
-            pol = _OTHER[pol]
-        s = kids[step]
-    return pol
-
-
 # ---------------------------------------------------------------------------
 # Pattern matching
 
@@ -130,23 +105,14 @@ def _match_sequent(pat: Sequent, val: Sequent, bnd) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MatchBinding:
-    schema: RuleSchema
-    bindings: dict
-    reversed_direction: bool = False
-    cut_formula: object = None
-    cut_path: tuple | None = None  # the surgical cut's hole, as polarity_of reads paths
-
-
-def _match_surgical(schema, conclusion, premises) -> Optional[MatchBinding]:
+def _match_surgical(schema, conclusion, premises) -> Optional[RuleSchema]:
     """The surgical Flat cut, read from its sequents.  The consumer and
-    the conclusion are walked side by side in pre-order, going down only
-    where they differ.  They must differ at one place only, the hole: an
+    the conclusion are walked side by side, going down only where they
+    differ.  They must differ at one place only, the hole: an
     antecedent-part position where the consumer holds the cut formula and
     the conclusion the provider's antecedent.  When that antecedent is
-    the cut formula itself, the two are equal, and the hole is the first
-    antecedent-part occurrence of the cut formula."""
+    the cut formula itself, the two are equal, and the consumer must hold
+    the cut formula at an antecedent-part position."""
     if len(premises) != 2:
         return None
     provider, consumer = premises
@@ -156,60 +122,65 @@ def _match_surgical(schema, conclusion, premises) -> Optional[MatchBinding]:
     same = hole is gamma
     if same and consumer != conclusion:
         return None
-    found = None
+    found = False
     todo = [
-        (consumer.succedent, conclusion.succedent, SUC, ("suc",)),
-        (consumer.antecedent, conclusion.antecedent, ANT, ("ant",)),
+        (consumer.antecedent, conclusion.antecedent, ANT),
+        (consumer.succedent, conclusion.succedent, SUC),
     ]
     while todo:
-        c, k, pol, path = todo.pop()
+        c, k, pol = todo.pop()
         if c is hole and k is gamma and pol is ANT:
-            if found is not None:
+            if found:
                 return None
-            found = path
+            found = True
             if same:
                 break
         elif same or c is not k:
             kids = children(c)
             if c is not k and (type(c) is not type(k) or not kids):
                 return None
-            flip = _flips(c)
-            todo += [
-                (kid, other, _OTHER[pol] if flip and not i else pol, (*path, i))
-                for i, (kid, other) in enumerate(zip(kids, children(k)))
-            ][::-1]
-    if found is None:
-        return None
-    return MatchBinding(schema, {}, cut_formula=hole.formula, cut_path=found)
+            shape = _BINARY.get(type(c))  # an arrow flips its first operand
+            for i, (kid, other) in enumerate(zip(kids, children(k))):
+                todo.append((kid, other, _OTHER[pol] if not i and shape and shape[2] else pol))
+    return schema if found else None
 
 
 def match_rule(schema: RuleSchema, conclusion: Sequent, premises: list[Sequent]):
-    """Match one schema instance; None when the shapes do not fit."""
+    """The schema, when the node fits it in some direction; else None."""
     if schema.surgical:
         return _match_surgical(schema, conclusion, premises)
     if len(premises) != len(schema.premises):
         return None
-    directions = [(schema.premises, schema.conclusion, False)]
+    directions = [(schema.premises, schema.conclusion)]
     if schema.bidirectional:
-        directions.append(((schema.conclusion,), schema.premises[0], True))
-    for prem_pats, concl_pat, rev in directions:
+        directions.append(((schema.conclusion,), schema.premises[0]))
+    for prem_pats, concl_pat in directions:
         bnd: dict = {}
-        if not _match_sequent(concl_pat, conclusion, bnd):
-            continue
-        if all(_match_sequent(pp, pv, bnd) for pp, pv in zip(prem_pats, premises)):
-            cut_formula = None
-            if schema.name == "Cut":
-                cut_formula = bnd.get(mv.FMetaG("A"))
-            return MatchBinding(schema, bnd, rev, cut_formula=cut_formula)
+        if _match_sequent(concl_pat, conclusion, bnd) and all(
+            _match_sequent(pp, pv, bnd) for pp, pv in zip(prem_pats, premises)
+        ):
+            return schema
     return None
 
 
 def match_name(name: str, conclusion: Sequent, premises: list[Sequent]):
+    """The first schema registered under name that the node fits."""
     for schema in FAMILIES.get(name, ()):
-        m = match_rule(schema, conclusion, premises)
-        if m is not None:
-            return m
+        if match_rule(schema, conclusion, premises) is not None:
+            return schema
     return None
+
+
+def cut_formula(node: Derivation):
+    """The cut formula of a node that matches Cut, else None: the formula
+    of its first premise's succedent, in both variants
+    (rules._validate_table)."""
+    if node.rule != "Cut":
+        return None
+    premises = [p.conclusion for p in node.premises]
+    if match_name("Cut", node.conclusion, premises) is None:
+        return None
+    return premises[0].succedent.formula
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +230,7 @@ def _check_node(node: Derivation) -> tuple[str, str, str]:
     premises = [p.conclusion for p in node.premises]
     m = match_name(node.rule, node.conclusion, premises)
     if m is not None:
-        return "ok", m.schema.variant, "extension: display postulate" if m.schema.extension else ""
+        return "ok", m.variant, "extension: display postulate" if m.extension else ""
     family = FAMILIES.get(node.rule)
     if not family:
         return "error", "", f"unknown rule {node.rule!r}"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .calculus import match_name
+from .calculus import cut_formula
 from .errors import UnsupportedPatternError
 from .formulas import Down, FImp, FVar, FZero, GImp, formula_size
 from .rules import INTRODUCTIONS
@@ -31,33 +31,23 @@ from .structures import Comma, Derivation, DownOf, FOf, Gt, Semi, Sequent, Sup, 
 class CutSite:
     addr: tuple[int, ...]
     formula: object
-    left_principal: bool
-    right_principal: bool
-
-    @property
-    def principal(self) -> bool:
-        return self.left_principal and self.right_principal
-
-
-def _cut_formula(node: Derivation):
-    m = match_name("Cut", node.conclusion, [p.conclusion for p in node.premises])
-    return None if m is None else m.cut_formula
+    principal: bool  # both premises introduce the cut formula in display
 
 
 def find_cut_sites(d: Derivation) -> list[CutSite]:
     sites = []
     for link, node in d.nodes():
-        if node.rule != "Cut" or len(node.premises) != 2:
-            continue
-        formula = _cut_formula(node)
+        formula = cut_formula(node)
         if formula is None:
             continue
         left, right = node.premises
         left_rule, right_rule, _ = INTRODUCTIONS[type(formula)]
         atom = lift(formula)
-        left_principal = left.rule == right_rule and left.conclusion.succedent == atom
-        right_principal = right.rule == left_rule and right.conclusion.antecedent == atom
-        sites.append(CutSite(address(link), formula, left_principal, right_principal))
+        principal = (
+            left.rule == right_rule and left.conclusion.succedent == atom
+            and right.rule == left_rule and right.conclusion.antecedent == atom
+        )
+        sites.append(CutSite(address(link), formula, principal))
     return sites
 
 

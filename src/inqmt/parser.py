@@ -250,8 +250,9 @@ class _Reader:
         if tok != stop:
             raise ParseError(f"unexpected trailing input {tok!r}", pos)
 
-    def whole(self, g: Grammar, formula: bool):
-        t = self.read(g, formula)
+    def whole(self, g: Grammar):
+        """A formula of g that is the whole input."""
+        t = self.read(g, formula=True)
         self.end()
         return t
 
@@ -403,23 +404,15 @@ class _Reader:
 
 
 def parse_inql(text: str) -> InqFormula:
-    return _Reader(text).whole(INQL, formula=True)
+    return _Reader(text).whole(INQL)
 
 
 def parse_flat(text: str, pattern_mode: bool = False) -> FlatFormula:
-    return _Reader(text, pattern_mode).whole(FLAT, formula=True)
+    return _Reader(text, pattern_mode).whole(FLAT)
 
 
 def parse_general(text: str, pattern_mode: bool = False) -> GeneralFormula:
-    return _Reader(text, pattern_mode).whole(GENERAL, formula=True)
-
-
-def parse_flat_structure(text: str, pattern_mode: bool = False) -> FlatStructure:
-    return _Reader(text, pattern_mode).whole(FLAT, formula=False)
-
-
-def parse_general_structure(text: str, pattern_mode: bool = False) -> GeneralStructure:
-    return _Reader(text, pattern_mode).whole(GENERAL, formula=False)
+    return _Reader(text, pattern_mode).whole(GENERAL)
 
 
 def parse_structure(text: str, pattern_mode: bool = False) -> Structure:

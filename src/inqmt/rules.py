@@ -168,9 +168,7 @@ def rule_table() -> tuple[RuleSchema, ...]:
 
 FAMILIES: dict[str, tuple[RuleSchema, ...]] = {}
 for _s in _TABLE:
-    FAMILIES.setdefault(_s.name, ())
-for _s in _TABLE:
-    FAMILIES[_s.name] = FAMILIES[_s.name] + (_s,)
+    FAMILIES[_s.name] = FAMILIES.get(_s.name, ()) + (_s,)
 
 
 def lookup(name: str) -> tuple[RuleSchema, ...]:

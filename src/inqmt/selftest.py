@@ -81,27 +81,18 @@ def _adjunction_suite(ctx: Context) -> SuiteResult:
     return SuiteResult(name, True, f"{checked} pairs, both laws")
 
 
-class _Table(dict):
-    """The values of a function, each computed when it is first read."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, x):
-        value = self[x] = self.fn(x)
-        return value
-
-
 def _downset_properties_suite(ctx: Context) -> SuiteResult:
     """The laws of downset, f and f*, each value computed once: downset
-    and f* over the teams, f over the down-sets.  Both sets are closed
-    under & and |, so every meet and join read is again a key."""
+    and f* over the teams, f over the down-sets.  Teams are closed under
+    &, | and complement, and down-sets under & and |, so every value read
+    is in its table."""
     alg = algebra.for_context(ctx)
     name = f"downset properties |V|={ctx.n_vars}"
     teams_ = alg.all_teams()
     downs = alg.all_downsets()
-    down, star, f = _Table(alg.downset), _Table(alg.f_star), _Table(alg.f)
+    down = {s: alg.downset(s) for s in teams_}
+    star = {s: alg.f_star(s) for s in teams_}
+    f = {x: alg.f(x) for x in downs}
     if down[0] != 1 or down[alg.full_team] != alg.full:
         return SuiteResult(name, False, "bottom/top images")
     for s in teams_:

@@ -426,12 +426,12 @@ def ref_check(d):
 # rule table's validation proves for every schema at once.
 
 
-def ref_c1_lint(node, m):
+def ref_c1_lint(node):
     """None, or why an operational term of a premise of node is neither
-    a subterm of its conclusion (crossing into Flat through dn) nor of
-    the cut formula of its match m."""
+    a subterm of its conclusion (crossing into Flat through dn) nor, at a
+    cut, of the cut formula: its first premise's succedent."""
     seq = node.conclusion
-    extra = () if m.cut_formula is None else (m.cut_formula,)
+    extra = (node.premises[0].conclusion.succedent.formula,) if node.rule == "Cut" else ()
     covered = set(subterms(seq.antecedent, seq.succedent, *extra))
     for p in node.premises:
         for t in operational_terms(p.conclusion):

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -282,10 +283,111 @@ def test_json_outputs(capsys):
     assert details["corpus audit |V|=1"].startswith("7 scripts, 129 nodes, 2415 assignments")
 
 
-def test_module_entry_point():
+def _child_env():
+    """The environment, with this package's source first on the path."""
     src = os.path.dirname(os.path.dirname(inqmt.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     argv = [sys.executable, "-m", "inqmt", "valid", "-V", "p", "~~p -> p"]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run(argv, capture_output=True, text=True, env=_child_env(), timeout=120)
     assert done.returncode == 0 and done.stdout.strip() == "true", done.stderr
+
+
+# seeded argv fuzzing: pieces that mutated formulas, team specs and -V
+# lists are made of
+_FUZZ_FORMULAS = ("p -> q", "~~p -> p", "?p \\/ ~q", "=(p,q) /\\ q", "p /\\ q -> q \\/ p")
+_FUZZ_TOKENS = (
+    "p", "q", "r", "0", "~", "?", "->", "\\/", "/\\", "(", ")", "=(", ",", "dn(p)",
+    "&", "|-", "Ph", "#", "é", "→", " ", "(" * 300, "p -> (" * 500,
+)
+_FUZZ_VARS = ("p,q", "p,q,r", "p,q,r,s", "p", "p,q,r,s,t", "", "p,p", "P", "1p", "p,,q", "dn", ",")
+_FUZZ_COMMANDS = (
+    "eval", "eval", "valid", "flat", "translate", "check", "audit", "reduce", "selftest",
+)
+_FUZZ_EXTRAS = ("--bogus", "-x", "--json", "--json=1", "--level", "--team", "-V", "--script", "")
+
+
+def _fuzz_text(rng, base):
+    """base after one to three random inserts, deletions or duplications."""
+    s = base
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.randrange(len(s) + 1) for _ in range(2))
+        s = rng.choice((
+            s[:i] + rng.choice(_FUZZ_TOKENS) + s[i:],
+            s[:i] + s[j:],
+            s[:j] + s[i:j] + s[j:],
+        ))
+    return s
+
+
+def _fuzz_argv(rng, script):
+    """One command line with one fault at most: its formula, -V list or
+    team spec mutated, a flag added or an argument dropped.  Script
+    commands read script or a missing file, and some of their options are
+    out of range."""
+    fault = rng.choice(("formula", "vars", "team", "flag", "drop", None))
+
+    def part(name, base):
+        return _fuzz_text(rng, base) if fault == name else base
+
+    command = rng.choice(_FUZZ_COMMANDS)
+    if command == "selftest":
+        argv = [command, "--level", rng.choice(("fast", "full", "bogus", ""))]
+    elif command in ("check", "audit", "reduce"):
+        argv = [command, "--script", rng.choice((script, script, "no/such.sexp"))]
+        if command == "audit":
+            argv += ["-V", part("vars", rng.choice(_FUZZ_VARS[:3]))]
+            argv += rng.choice(([], ["--samples", "50"], ["--samples", "-1"]))
+        elif command == "reduce":
+            argv += rng.choice(([], ["--fuel", "1"], ["--fuel", "x"]))
+    else:
+        argv = [command, part("formula", rng.choice(_FUZZ_FORMULAS))]
+        if command != "translate":
+            names = rng.choice(_FUZZ_VARS[:3] if rng.random() < 0.8 else _FUZZ_VARS)
+            argv += ["-V", part("vars", names)]
+        if command == "eval":
+            width = len(names.split(","))
+            worlds = {"".join(rng.choices("01", k=width)) for _ in range(rng.randrange(4))}
+            argv += ["--team", part("team", "{" + ",".join(worlds) + "}")]
+    if fault == "flag":
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(_FUZZ_EXTRAS))
+    elif fault == "drop":
+        del argv[rng.randrange(len(argv))]
+    return argv
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_mutated_command_lines_end_in_an_exit_code_in_a_child(tmp_path):
+    """Seeded mutated command lines, each run as python -m inqmt in a child
+    process, two at a time, under a 1 GiB address-space limit and a time
+    limit: each exits 0-3 and writes no traceback."""
+    script = tmp_path / "cut.sexp"
+    script.write_text(corpus.text("cut_cap_before"), encoding="utf-8")
+    rng = random.Random(7)
+    runs = [_fuzz_argv(rng, str(script)) for _ in range(24)]
+    codes = set()
+    for batch in (runs[i : i + 2] for i in range(0, len(runs), 2)):
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-m", "inqmt", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+                encoding="utf-8", errors="replace", preexec_fn=_limit_address_space,
+            )
+            for argv in batch
+        ]
+        for argv, child in zip(batch, children):
+            try:
+                _, err = child.communicate(timeout=30)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                child.communicate()
+                pytest.fail(f"no exit within 30 s: {argv}")
+            assert child.returncode in (0, 1, 2, 3) and "Traceback" not in err, (argv, err)
+            codes.add(child.returncode)
+    assert {0, 1, 2, 3} <= codes

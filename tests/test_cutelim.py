@@ -59,7 +59,7 @@ def test_find_principal_cuts_examples():
 def test_parametric_cut_not_principal():
     d = parametric_cut_example()
     (site,) = find_cut_sites(d)
-    assert not site.left_principal and site.right_principal
+    assert not site.principal
     assert find_principal_cuts(d) == []
     reduced, report = reduce_all(d)
     assert reduced == d
