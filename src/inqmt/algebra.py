@@ -22,13 +22,17 @@ Denotations of formulas are computed by the package's one compiler
 The algebra is built once per context (for_context) and holds that
 context's constants: the per-world team columns and closure masks, and
 the down-set of each variable's team.  The down-sets themselves are
-enumerated once per context, world by world.  Nothing is cached across
-calls beyond these.
+enumerated once per context, world by world.  Beyond these, the only
+thing kept across calls is ``tables``, a weak memo from interned InqL
+formulas to their support tables (teams.support_table): an entry leaves
+it when its formula is no longer held anywhere, so a formula built again
+later has its table computed again.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from weakref import WeakKeyDictionary
 
 from .contexts import Context, bit_column
 from .denote import Polarity, denote
@@ -52,6 +56,8 @@ class TeamAlgebra:
         self._down_steps = [(has, 1 << b) for b, has in enumerate(self._has)]
         self._up_steps = [(self.full & ~has, 1 << b) for b, has in enumerate(self._has)]
         self._var_downsets = {v: self.downset(t) for v, t in ctx.var_teams.items()}
+        # support tables of the live InqL formulas (teams.support_table)
+        self.tables: WeakKeyDictionary = WeakKeyDictionary()
 
     # ----------------------------------------------------------- closures
 

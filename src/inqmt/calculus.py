@@ -6,7 +6,8 @@ both directions.  Equal subderivations are one interned node, and a
 node's verdict reads only its own rule and sequents, so each occurrence
 of it shares that verdict.  Node addresses are made only for what is
 reported: the first failing node of a rejected derivation, and the
-per-node records, which are built when first read.
+per-node records, which are built when first read, each address from
+its parent's.
 
 A rule instance is read from its sequents alone, and a match is the
 schema that matched.  The surgical Flat cut walks its consumer premise
@@ -211,10 +212,15 @@ class CheckResult:
     @cached_property
     def records(self) -> tuple[NodeRecord, ...]:
         verdicts = self.verdicts
-        return tuple(
-            NodeRecord(address(link), node.rule, *verdicts[node])
-            for link, node in self.derivation.nodes()
-        )
+        # in pre-order a node's parent is the last node met one level up,
+        # so last[k] holds the address of the latest node at depth k
+        last: list = []
+        out = []
+        for (_, i, depth), node in self.derivation.nodes():
+            addr = last[depth - 1] + (i,) if depth else ()
+            last[depth:] = (addr,)
+            out.append(NodeRecord(addr, node.rule, *verdicts[node]))
+        return tuple(out)
 
     def lines(self) -> list[str]:
         out = []

@@ -142,12 +142,14 @@ def subterms(*roots: Term):
             todo.extend(reversed(t.parts))
 
 
-def fold(root: Term, visit):
+def fold(root: Term, visit, done=None):
     """visit(t, done) at every distinct subterm t of root, parts before
     their node and the left before the right, done mapping every subterm
     visited so far (t's parts among them) to its value.  Returns the
-    value at root."""
-    done: dict = {}
+    value at root.  A done passed in is read and extended in place: a
+    subterm already in it is neither visited again nor walked into."""
+    if done is None:
+        done = {}
     todo: list = [root]
     while todo:
         t = todo.pop()

@@ -5,9 +5,11 @@ support clauses, with the implication clause walking every subteam; its
 goals wait on an explicit stack, so deep formulas need no recursion.  The
 table evaluator computes the full set of supporting teams bottom-up with
 exact mask arithmetic; the implication case quantifies over subteams
-through an up-closure sweep, not through any flatness shortcut.  The two
-routes are cross-checked against each other by the test suite; validity
-and entailment run on tables.
+through an up-closure sweep, not through any flatness shortcut.  Each
+context's algebra keeps the tables of the formulas still held anywhere
+(TeamAlgebra.tables), so a subformula met again is read, not computed,
+until it is dropped.  The two routes are cross-checked against each
+other by the test suite; validity and entailment run on tables.
 
 Routines that quantify over subteams of every team are capped at three
 variables; plain team enumeration is capped at four (by the context).
@@ -94,8 +96,11 @@ _CLAUSES = {IAnd: _and_clause, IOr: _or_clause, IImp: _imp_clause}
 
 
 def support_table(ctx: Context, phi: InqFormula) -> int:
-    """Mask over all teams: bit S set iff S |= phi."""
-    return fold(phi, table_step(algebra.for_context(ctx)))
+    """Mask over all teams: bit S set iff S |= phi.  Every subformula's
+    table goes into the algebra's weak memo, and one already there is
+    read back, not computed or walked again."""
+    alg = algebra.for_context(ctx)
+    return fold(phi, table_step(alg), alg.tables)
 
 
 def table_step(alg: algebra.TeamAlgebra):

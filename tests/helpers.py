@@ -1,9 +1,10 @@
 """Bounded random generators shared across the test modules, checks
 that only the tests run (the pointwise support shortcut, the restricted
-Hilbert axioms, modus ponens, the algebraic flatness test), a cut that
-is not principal, a recursive reference evaluator for denotations, the
-polarities of a schema's metavariables, a walk over a derivation's
-nodes that copies the address at every step, reference searches for the
+Hilbert axioms, modus ponens, the algebraic flatness test), a call
+counter for the algebra's methods, a cut that is not principal, a
+recursive reference evaluator for denotations, the polarities of a
+schema's metavariables, a walk over a derivation's nodes that copies
+the address at every step, reference searches for the
 audit and for schema soundness, the per-node operational-subterm lint,
 a reference search for the surgical cut's hole, and a node-by-node
 reference reader (reading each side on its own) and printer of
@@ -14,7 +15,7 @@ from itertools import product
 
 from inqmt import metavars as mv
 from inqmt import teams
-from inqmt.algebra import for_context
+from inqmt.algebra import TeamAlgebra, for_context
 from inqmt.calculus import (
     AuditNode,
     AuditReport,
@@ -210,6 +211,19 @@ def is_flat_algebraic(alg, a, assignment):
     """Lemma-style fixed point: the denotation equals downset(f(.)) of itself."""
     x = alg.denote_general(a, assignment)
     return x == alg.downset(alg.f(x))
+
+
+def counting(monkeypatch, name):
+    """The argument tuples of every later call to TeamAlgebra.name."""
+    calls = []
+    method = getattr(TeamAlgebra, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(TeamAlgebra, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from inqmt.formulas import Cap, Down, FImp, FVar, GOr, flat_join, flat_neg
 from inqmt.parser import parse_general, parse_inql
 from inqmt.teams import support_table
 
-from helpers import BOT_A, is_flat_algebraic, rand_flat
+from helpers import BOT_A, counting, is_flat_algebraic, rand_flat
 
 P1 = Context.of("p")
 P2 = Context.of("p,q")
@@ -302,18 +302,6 @@ def test_downsets_match_the_filter_enumeration():
 
 # ---------------------------------------------------------------------------
 # Cost structure, pinned by counting calls.
-
-
-def counting(monkeypatch, name):
-    calls = []
-    method = getattr(algebra.TeamAlgebra, name)
-
-    def counted(self, *args):
-        calls.append(args)
-        return method(self, *args)
-
-    monkeypatch.setattr(algebra.TeamAlgebra, name, counted)
-    return calls
 
 
 def test_support_table_reads_variable_downsets_once_per_context(monkeypatch):

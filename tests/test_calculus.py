@@ -218,6 +218,18 @@ def test_check_derivation_matches_the_occurrence_loop():
     assert rejected > 0.8 * len(broken)
 
 
+def test_record_addresses_are_the_occurrence_addresses():
+    # a record's address extends its parent's; address(link) walks the
+    # parent links on its own
+    rng = random.Random(21)
+    derivations = [corpus.load(name) for name in corpus.names()]
+    derivations += [plant_leaf(corpus.load(n), rng) for n in LEMMA_SCRIPTS for _ in range(3)]
+    derivations.append(weakening_chain(3000))
+    for d in derivations:
+        records = check_derivation(d).records
+        assert [r.addr for r in records] == [address(link) for link, _ in d.nodes()]
+
+
 def test_a_shared_broken_subderivation_fails_at_both_addresses():
     # capR over one broken premise twice: the interned premise is matched
     # once, and its verdict is read at both addresses

@@ -3,13 +3,15 @@ import random
 import pytest
 
 from inqmt import teams
+from inqmt.algebra import for_context
 from inqmt.contexts import Context, subteams
 from inqmt.errors import NotClassicalError, SizeCapError
-from inqmt.formulas import IAnd, IImp, IOr, IVar, IZERO, enumerate_inql, inq_neg
+from inqmt.formulas import IAnd, IImp, IOr, IVar, IZERO, enumerate_inql, fold, inq_neg
 from inqmt.parser import parse_inql
 
 from helpers import (
     check_modus_ponens,
+    counting,
     rand_inql,
     support_pointwise,
     thm26_axiom2_valid,
@@ -194,3 +196,49 @@ def test_support_decides_each_goal_once(monkeypatch):
     assert teams.support(P2, P2.full_team, phi)
     goals, distinct = len(started), len(set(started))
     assert goals == distinct and goals > 4 * 16
+
+
+# ---------------------------------------------------------------------------
+# The algebra's weak memo of support tables
+
+
+def test_a_dropped_formula_leaves_the_table():
+    # variables no other test uses, so no other live formula shares a node
+    ctx = Context.of("m1,m2,m3,m4")
+    alg = for_context(ctx)
+    leaves = [IVar(v) for v in ctx.variables] + [IZERO]
+    for leaf in leaves:
+        teams.support_table(ctx, leaf)
+    before = len(alg.tables)
+    phi = parse_inql("(m1 -> m2 \\/ m3) /\\ ~(m4 -> (m1 \\/ ~m2))")
+    table = teams.support_table(ctx, phi)
+    assert len(alg.tables) == before + 7 and alg.tables[phi] == table
+    del phi
+    assert len(alg.tables) == before
+
+
+def test_a_shared_subformula_is_computed_once(monkeypatch):
+    # the double negation that `inqmt flat` compares a formula with
+    phi = parse_inql("(p -> q \\/ r) /\\ ~(q -> (r \\/ ~p))")
+    ctx = Context.of("p,q,r")
+    table = teams.support_table(ctx, phi)
+    calls = counting(monkeypatch, "heyting")
+    nn = inq_neg(inq_neg(phi))
+    nn_table = teams.support_table(ctx, nn)
+    assert len(calls) == 2 and calls[0] == (table, 1)
+    assert teams.support_table(ctx, nn) == nn_table and len(calls) == 2
+
+
+def test_the_memo_changes_no_table():
+    rng = random.Random(13)
+    cases = [(P2, phi) for phi in enumerate_inql(("p", "q"), 2)]
+    for names in (("p", "q", "r"), ("p", "q", "r", "s")):
+        ctx = Context.of(",".join(names))
+        cases += [(ctx, rand_inql(rng, 6, names)) for _ in range(40)]
+    for ctx, phi in cases:
+        fresh = fold(phi, teams.table_step(for_context(ctx)))
+        for _ in range(2):  # the second call reads the memo
+            assert teams.support_table(ctx, phi) == fresh, phi
+        if ctx.n_vars <= 2:
+            for s in ctx.teams():
+                assert bool((fresh >> s) & 1) == teams.support(ctx, s, phi), (phi, s)
