@@ -7,10 +7,14 @@ sequents) into a ``Program``, a straight-line list of operations over
 numbered slots, each writing its own slot.  Slots are shared by value
 numbering: an operation is keyed by its opcode and the slots of its
 operands, so a subterm that occurs in several roots, read at the same
-polarity, is computed once per assignment.  Leaves are propositional
-variables (keyed by name) and metavariables (keyed by themselves); they
-take the first slots, in an order the caller chooses, and the constants
-follow them.
+polarity, is computed once per assignment.  Terms are interned, so the
+compiler keeps, per polarity, the node of every term it has read there:
+a term met again at that polarity is looked up and not walked, and
+compiling costs the distinct (term, polarity) pairs of its roots, not
+their tree size.  Leaves are propositional variables (keyed by name) and
+metavariables (keyed by themselves), and a leaf's occurrence is recorded
+once per polarity it is read at; leaves take the first slots, in an
+order the caller chooses, and the constants follow them.
 
 Structures are read as before: Phi as the unit of its position (all
 worlds in antecedent position, no worlds in succedent position); comma
@@ -106,6 +110,12 @@ class Program:
 
 
 class Compiler:
+    """Compiles roots into one Program.  Each distinct (term, polarity)
+    pair of the roots is walked once, over the compiler's lifetime: its
+    node is kept in that polarity's memo and reused at every later
+    occurrence.  Node order and value numbering are those of a walk over
+    the trees; the polarities of a leaf are recorded once each."""
+
     def __init__(self, top: int):
         self.top = top  # the team of all worlds: Phi in antecedent position
         self._nodes: list[tuple] = []  # ("leaf", key) | ("const", v) | (opcode, a, b)
@@ -113,37 +123,48 @@ class Compiler:
         self._leaf_ids: dict = {}  # leaf key -> node id, in order of first occurrence
         self._occurrences: set = set()  # (leaf key, polarity)
         self._roots: list[tuple] = []  # (node count before the root, result node ids)
+        # per polarity, interned term -> node id: two dicts, as hashing a
+        # (term, Polarity) pair would call the Enum's __hash__, in Python
+        self._ant_ids: dict = {}
+        self._suc_ids: dict = {}
 
     def _walk(self, root, pol: Polarity) -> int:
         """The node computing root at pol; an explicit stack, no recursion."""
         nodes, index, leaf_ids = self._nodes, self._index, self._leaf_ids
-        occurrences = self._occurrences
+        occurrences, ant_ids, suc_ids = self._occurrences, self._ant_ids, self._suc_ids
         todo: list = [(root, pol)]
         push, pop = todo.append, todo.pop
         done: list[int] = []
         while todo:
             t, p = pop()
             if t is _MAKE2:
+                code, t, ids = p
                 b = done.pop()
-                node = (p, done.pop(), b)
+                node = (code, done.pop(), b)
             elif t is _MAKE1:
+                code, t, ids = p
                 a = done.pop()
-                node = (p, a, a)
+                node = (code, a, a)
             else:
                 cls = type(t)
+                if cls is FlatFml or cls is GenFml:  # a lifted formula: its formula's node
+                    t = t.formula
+                    cls = type(t)
+                ids = ant_ids if p is ANT else suc_ids
+                i = ids.get(t)
+                if i is not None:
+                    done.append(i)
+                    continue
                 shape = _BINARY.get(cls)
                 if shape is not None:
-                    push((_MAKE2, shape[0] if p is ANT else shape[1]))
+                    push((_MAKE2, (shape[0] if p is ANT else shape[1], t, ids)))
                     push((t.right, p))
                     push((t.left, _OTHER[p] if shape[2] else p))
                     continue
                 shape = _UNARY.get(cls)
                 if shape is not None:
-                    push((_MAKE1, shape[0] if p is ANT else shape[1]))
+                    push((_MAKE1, (shape[0] if p is ANT else shape[1], t, ids)))
                     push((t.body, p))
-                    continue
-                if cls is FlatFml or cls is GenFml:
-                    push((t.formula, p))
                     continue
                 if cls is FVar or isinstance(t, mv.META_TYPES):
                     key = t.name if cls is FVar else t
@@ -152,6 +173,7 @@ class Compiler:
                     if i is None:
                         i = leaf_ids[key] = len(nodes)
                         nodes.append(("leaf", key))
+                    ids[t] = i
                     done.append(i)
                     continue
                 if cls is FZero:
@@ -164,6 +186,7 @@ class Compiler:
             if i is None:
                 i = index[node] = len(nodes)
                 nodes.append(node)
+            ids[t] = i
             done.append(i)
         return done[0]
 

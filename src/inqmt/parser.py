@@ -51,6 +51,7 @@ conclusions, and a side containing one already printed copies its text.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
@@ -617,6 +618,10 @@ _BLANK_RE = re.compile(r"\s*\Z")
 _HEADER = ("(", "rule", '"', "(", "seq", '"', '"', ")")
 
 
+# frames the script reader leaves unused below the recursion limit
+_HEADROOM = 50
+
+
 class _Refused(Exception):
     """The skeleton pattern stops: args are where, and whether that is
     after the root."""
@@ -649,20 +654,29 @@ def _skeleton(text: str) -> list[tuple]:
 def _read_skeleton(text: str) -> list[tuple]:
     """The skeleton of a script: (rule, antecedent text, succedent text,
     number of premises) per node, in pre-order, which is text order.
-    Each node costs one match for its header and one for its ')'."""
+    Each node costs one match for its header and one for its ')'.  The
+    reader stops _HEADROOM frames short of the recursion limit, so that a
+    signal handler running at its deepest point still has frames to spend."""
     nodes: list = []
     m = _SKELETON_RE.match(text)
     if m is None or m.lastindex == 4:
         raise _Refused(0, False)
-    end = _read_node(text, m, nodes)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    end = _read_node(text, m, nodes, sys.getrecursionlimit() - depth - _HEADROOM)
     if _BLANK_RE.match(text, end) is None:
         raise _Refused(end, True)
     return nodes
 
 
-def _read_node(text: str, header: re.Match, nodes: list) -> int:
+def _read_node(text: str, header: re.Match, nodes: list, room: int) -> int:
     """Append the node whose header matched, then its premises, to nodes;
-    return where its ')' ends.  It recurses once per node."""
+    return where its ')' ends.  It recurses once per node, at most room
+    levels deep."""
+    if room <= 0:
+        raise RecursionError("the script reader has no frames left")
     at = len(nodes)
     nodes.append(None)
     count = 0
@@ -670,7 +684,7 @@ def _read_node(text: str, header: re.Match, nodes: list) -> int:
     m = _SKELETON_RE.match(text, end)
     while m is not None and m.lastindex != 4:
         count += 1
-        end = _read_node(text, m, nodes)
+        end = _read_node(text, m, nodes, room - 1)
         m = _SKELETON_RE.match(text, end)
     if m is None:
         raise _Refused(end, False)

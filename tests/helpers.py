@@ -2,7 +2,8 @@
 that only the tests run (the pointwise support shortcut, the restricted
 Hilbert axioms, modus ponens, the algebraic flatness test), a call
 counter for the algebra's methods, a cut that is not principal, a
-recursive reference evaluator for denotations, the polarities of a
+recursive reference evaluator for denotations, the compiler's walk over
+trees as a reference for its programs, the polarities of a
 schema's metavariables, a walk over a derivation's nodes that copies
 the address at every step, reference searches for the
 audit and for schema soundness, the per-node operational-subterm lint,
@@ -13,8 +14,8 @@ derivation scripts."""
 import random
 from itertools import product
 
+from inqmt import calculus, denote, selftest, teams
 from inqmt import metavars as mv
-from inqmt import teams
 from inqmt.algebra import TeamAlgebra, for_context
 from inqmt.calculus import (
     AuditNode,
@@ -25,7 +26,7 @@ from inqmt.calculus import (
     _check_node,
     _meta_domains,
 )
-from inqmt.denote import Compiler, Machine
+from inqmt.denote import _BINARY, _MAKE1, _MAKE2, _OTHER, _UNARY, Compiler, Machine
 from inqmt.errors import InqmtError, NotClassicalError, ParseError
 from inqmt.formulas import (
     Cap,
@@ -300,6 +301,95 @@ def ref_sequent_holds(seq, alg, env):
     a = ref_structure(seq.antecedent, Polarity.ANT, alg, env)
     s = ref_structure(seq.succedent, Polarity.SUC, alg, env)
     return a & ~s == 0
+
+
+# ---------------------------------------------------------------------------
+# The compiler's walk over trees: every occurrence of a subterm is walked
+# again and only its nodes are value-numbered, so a program costs the tree
+# size.  The memoised walk must build exactly its programs.
+
+
+class TreeCompiler(Compiler):
+    def _walk(self, root, pol):
+        nodes, index, leaf_ids = self._nodes, self._index, self._leaf_ids
+        todo = [(root, pol)]
+        done = []
+        while todo:
+            t, p = todo.pop()
+            if t is _MAKE2:
+                b = done.pop()
+                node = (p, done.pop(), b)
+            elif t is _MAKE1:
+                a = done.pop()
+                node = (p, a, a)
+            else:
+                cls = type(t)
+                if cls in _BINARY:
+                    ant_code, suc_code, flips = _BINARY[cls]
+                    todo.append((_MAKE2, ant_code if p is Polarity.ANT else suc_code))
+                    todo.append((t.right, p))
+                    todo.append((t.left, _OTHER[p] if flips else p))
+                    continue
+                if cls in _UNARY:
+                    ant_code, suc_code = _UNARY[cls]
+                    todo.append((_MAKE1, ant_code if p is Polarity.ANT else suc_code))
+                    todo.append((t.body, p))
+                    continue
+                if cls in (FlatFml, GenFml):
+                    todo.append((t.formula, p))
+                    continue
+                if cls is FVar or mv.is_meta(t):
+                    key = t.name if cls is FVar else t
+                    self._occurrences.add((key, p))
+                    if key not in leaf_ids:
+                        leaf_ids[key] = len(nodes)
+                        nodes.append(("leaf", key))
+                    done.append(leaf_ids[key])
+                    continue
+                if cls is FZero:
+                    node = ("const", 0)
+                elif cls is Phi:
+                    node = ("const", self.top if p is Polarity.ANT else 0)
+                else:
+                    raise TypeError(f"cannot denote {t!r}")
+            if node not in index:
+                index[node] = len(nodes)
+                nodes.append(node)
+            done.append(index[node])
+        return done[0]
+
+
+def checked_compilers(monkeypatch):
+    """From here on, every Compiler the package makes also feeds its roots
+    to a TreeCompiler, and each program it numbers, its leaf keys and its
+    polarities must equal the tree walk's.  Returns the list of the
+    programs checked."""
+    checked = []
+
+    class Checked(Compiler):
+        def __init__(self, top):
+            super().__init__(top)
+            self.tree = TreeCompiler(top)
+
+        def add_term(self, term, pol):
+            self.tree.add_term(term, pol)
+            return super().add_term(term, pol)
+
+        def add_sequent(self, seq):
+            self.tree.add_sequent(seq)
+            return super().add_sequent(seq)
+
+        def program(self, leaf_order=None):
+            prog = super().program(leaf_order)
+            assert prog == self.tree.program(leaf_order)
+            assert self.leaf_keys == self.tree.leaf_keys
+            assert self.polarities == self.tree.polarities
+            checked.append(prog)
+            return prog
+
+    for module in (calculus, denote, selftest):
+        monkeypatch.setattr(module, "Compiler", Checked)
+    return checked
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,28 @@
 """The compiled denotations against the recursive reference evaluator
 (helpers.ref_*), on the corpus, on seeded random terms and on the rule
-table's pattern sequents; the staged search against a product loop."""
+table's pattern sequents; the memoised compiler's programs against the
+tree walk's (helpers.TreeCompiler); the staged search against a product
+loop."""
 
 import random
+import time
 from itertools import product
 
 import pytest
 
-from inqmt import corpus, metavars as mv
+from inqmt import corpus, denote as denote_module, metavars as mv, selftest
 from inqmt.algebra import for_context
-from inqmt.calculus import Polarity, audit_soundness
+from inqmt.calculus import Polarity, audit_soundness, schema_soundness_counterexample
 from inqmt.contexts import Context
 from inqmt.denote import AND, DOWN, Compiler, Machine, denote
 from inqmt.errors import InqmtError
-from inqmt.formulas import Cap, FVar, variables
+from inqmt.formulas import Cap, Down, FVar, GAnd, fold, subterms, variables
 from inqmt.parser import parse_sequent, parse_structure
 from inqmt.rules import rule_table
-from inqmt.structures import Derivation, Sequent
+from inqmt.structures import Comma, Derivation, Gt, Semi, Sequent, Sup
 
 from helpers import (
+    checked_compilers,
     rand_flat,
     rand_flat_structure,
     rand_general,
@@ -153,6 +157,90 @@ def test_deep_formula_compiles_without_recursion():
     alg = ALGEBRAS[1]
     env = {"p": 0b1011, "q": 0b0111}
     assert denote(alg, alpha, Polarity.ANT, env) == 0b0011
+
+
+def test_audit_and_schema_programs_equal_the_tree_walks(monkeypatch):
+    checked = checked_compilers(monkeypatch)
+    for schema in rule_table():  # the surgical cut's consumer contexts among them
+        schema_soundness_counterexample(schema, Context.of("p"))
+    schemas = len(checked)
+    assert schemas > len(rule_table())
+    for ctx in (Context.of("p"), Context.of("p,q")):
+        for name in corpus.names():
+            audit_soundness(corpus.load(name), ctx)
+    assert len(checked) - schemas >= 2 * len(corpus.names())  # a program per variable set
+
+
+def test_selftest_programs_equal_the_tree_walks(monkeypatch):
+    checked = checked_compilers(monkeypatch)
+    assert selftest._axiom_suite().ok
+    draws = len(checked)
+    assert draws == 72  # a program per draw
+    assert selftest._population_suite().ok
+    assert len(checked) > draws  # every chunk of tau_i images
+
+
+def test_a_subterm_at_both_polarities_gets_a_node_per_polarity(monkeypatch):
+    """X sits left of |> or > (read at the opposite polarity) and beside it
+    (read at the structure's own): a memo blind to polarity would hand the
+    second reading the first's node."""
+    checked = checked_compilers(monkeypatch)
+    rng = random.Random(76)
+    for i in range(300):
+        if i % 2:
+            x = rand_flat_structure(rng, 2)
+            s = Comma(Sup(x, rand_flat_structure(rng, 2)), x)
+        else:
+            x = rand_general_structure(rng, 2)
+            s = Semi(Gt(x, rand_general_structure(rng, 2)), x)
+        compiler = denote_module.Compiler(ALGEBRAS[1].full_team)
+        compiler.add_term(s, Polarity.SUC).add_sequent(Sequent(s, x)).program()
+    assert len(checked) == 300
+
+
+def test_compiling_costs_the_distinct_term_polarity_pairs(monkeypatch):
+    """On the axiom suite's draws, the walk expands each distinct (term,
+    polarity) pair once: formulas are read at their root's polarity, so
+    these are the distinct subterms, a ninth of the tree nodes."""
+    expanded, draws = [], []
+
+    class Counted(dict):  # a term is stored in its memo once it is expanded
+        def __setitem__(self, term, node):
+            expanded.append(term)
+            super().__setitem__(term, node)
+
+    class Counting(Compiler):
+        def __init__(self, top):
+            super().__init__(top)
+            self._ant_ids, self._suc_ids = Counted(), Counted()
+            draws.append([])
+
+        def add_term(self, term, pol):
+            draws[-1].append(term)
+            return super().add_term(term, pol)
+
+    def tree_size(t, done):
+        return 1 + sum(done[k] for k in t.parts)
+
+    monkeypatch.setattr(selftest, "Compiler", Counting)
+    assert selftest._axiom_suite().ok
+    pairs = sum(sum(1 for _ in subterms(*roots)) for roots in draws)
+    sizes: dict = {}
+    tree = sum(fold(t, tree_size, sizes) for roots in draws for t in roots)
+    assert len(expanded) == pairs == 4623
+    assert tree == 41742
+
+
+def test_a_dag_compiles_in_its_distinct_nodes():
+    """A_0 = dn(p), A_k+1 = A_k /\\ A_k: 23 distinct nodes at k = 22 and
+    about 12.6 million tree nodes."""
+    alg = ALGEBRAS[1]
+    a = Down(FVar("p"))
+    for _ in range(22):
+        a = GAnd(a, a)
+    start = time.perf_counter()
+    assert denote(alg, a, Polarity.ANT, alg.canonical_assignment()) == alg.var_downset("p")
+    assert time.perf_counter() - start < 0.5
 
 
 class CountedDomain(list):

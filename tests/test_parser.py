@@ -1,5 +1,6 @@
 import random
 import re
+import signal
 
 import pytest
 
@@ -640,3 +641,31 @@ def test_a_script_too_deep_for_the_pattern_is_walked_token_by_token():
     with pytest.raises(ParseError) as e:
         parse_derivation(text + "@")
     assert (e.value.message, e.value.pos) == ("unexpected character '@' in script", len(text))
+
+
+def test_a_signal_at_the_readers_deepest_point_has_frames_to_spend():
+    """The reader stops short of the recursion limit, so a timer's handler
+    that lands while it refuses the 1,000-node chain can still call; at the
+    limit itself, the handler's first call would raise RecursionError."""
+    text = derivation_to_sexp(weakening_chain(1000))
+    stuck = []
+
+    def nested(depth):
+        return nested(depth - 1) if depth > 1 else 0
+
+    def handler(signum, frame):
+        try:
+            nested(3)
+        except RecursionError:
+            stuck.append(True)
+
+    old = signal.signal(signal.SIGALRM, handler)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 50e-6, 50e-6)
+        for _ in range(20):
+            with pytest.raises(RecursionError):
+                parse_derivation(text)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert not stuck
