@@ -120,14 +120,7 @@ class TeamAlgebra:
     def complement_team(self, team: int) -> int:
         return self.full_team & ~team
 
-    @property
-    def top_a(self) -> int:
-        return self.full
-
     # ----------------------------------------------------- enumeration
-
-    def all_teams(self) -> range:
-        return range(self.n_teams)
 
     def all_downsets(self) -> tuple[int, ...]:
         return _downsets_of(self.ctx)

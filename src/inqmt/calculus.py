@@ -380,7 +380,7 @@ def _meta_domains(pols: dict, alg: TeamAlgebra, downsets) -> list[tuple]:
     """
     nonempty = tuple(x for x in downsets if x & 1)
     domains = []
-    teams = tuple(alg.all_teams())
+    teams = tuple(alg.ctx.teams())
     for meta in sorted(pols, key=lambda m: (type(m).__name__, m.name)):
         if isinstance(meta, (mv.SMetaF, mv.FMetaF, mv.PMeta)):
             domains.append((meta, teams))
@@ -442,7 +442,7 @@ def _surgical_counterexample(alg: TeamAlgebra, search, downsets):
     def put(t, done):  # t with gamma in the hole
         return gamma if t is hole else type(t)(*map(done.get, t.parts)) if t.parts else t
 
-    teams = tuple(alg.all_teams())
+    teams = tuple(alg.ctx.teams())
     for text in _CUT_CONTEXTS:
         consumer = pseq(text)
         compiler = Compiler(alg.full_team).add_sequent(pseq("G |- a")).add_sequent(consumer)

@@ -11,14 +11,16 @@
 
 Exit codes: 0 success/true, 1 false or check failed (an audit also
 fails when a node checked no assignment), 2 usage error, 3 size cap
-exceeded (including input nested too deeply to read).  --json switches
-reports to machine-readable form.
+exceeded (including input nested too deeply to read); a reader that
+closes stdout early does not change the code.  --json switches reports
+to machine-readable form.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import selftest, teams, translate
@@ -213,10 +215,12 @@ def cmd_selftest(args) -> int:
 
 
 def _emit(args, payload: dict, text: str):
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    """Prints the report.  If the reader closed the pipe, stdout goes to
+    the null device, so the flush at exit cannot raise, and the verdict stands."""
+    try:
+        print(json.dumps(payload, indent=2) if args.json else text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def build_parser() -> argparse.ArgumentParser:

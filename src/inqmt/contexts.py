@@ -6,8 +6,9 @@ declared variable.  A team is a set of worlds, encoded as a mask over all
 2^|V| worlds (bit w set iff world w belongs to the team).  Collections of
 teams are masks over all 2^(2^|V|) teams, indexed by the team's own mask.
 
-Contexts are capped at four variables: that bounds teams at 65,536 and
-keeps every exhaustive routine in the package at desk scale.
+Contexts are capped at four variables: that bounds teams at 65,536, and
+every team routine answers at that size.  Only down-set enumeration
+stops earlier, at two variables (algebra.ENUM_MAX_WORLDS).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Iterable, Iterator
 from .errors import SizeCapError
 
 MAX_VARS = 4
-MAX_VARS_SUBTEAM = 3
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 

@@ -302,32 +302,33 @@ def gen_neg(a: GeneralFormula) -> GeneralFormula:
 
 
 # ---------------------------------------------------------------------------
-# Bounded enumeration of the InqL formula population used by the
-# exhaustive semantic suites.  Height counts atoms as 1.
+# Bounded enumeration: the InqL population of the semantic suites and the
+# cut formulas of the reduction suite.  Height counts atoms as 1.
 
 
-def iter_inql(variables: tuple[str, ...], max_height: int):
-    """The formulas of height at most max_height, one level after the
-    next: the atoms, then every connective over two formulas below the
-    level, at least one of them from the level just before.  Only the
-    levels below the last are held; the last is yielded as it is built."""
-    level: Iterable[InqFormula] = (*(IVar(v) for v in variables), IZERO)
-    below: tuple[InqFormula, ...] = ()
+def iter_terms(atoms: Iterable[Term], connectives: tuple, max_height: int):
+    """The terms of height at most max_height over the atoms and the
+    binary connectives, one level after the next: the atoms, then each
+    connective over two terms below the level, one of them at least from
+    the level just before, connectives and operands in the order given.
+    Only the levels below the last are held; the last is built as read."""
+    level: Iterable[Term] = tuple(atoms)
+    below: tuple[Term, ...] = ()
     for height in range(2, max_height + 1):
         yield from level
         below += level
-        level = _next_level(below, frozenset(level))
+        prev = frozenset(level)
+        level = (
+            op(l, r) for op in connectives for l in below for r in below if l in prev or r in prev
+        )
         if height < max_height:
             level = tuple(level)
     yield from level
 
 
-def _next_level(below: tuple[InqFormula, ...], prev: frozenset):
-    for op in (IAnd, IImp, IOr):
-        for l in below:
-            for r in below:
-                if l in prev or r in prev:
-                    yield op(l, r)
+def iter_inql(variables: tuple[str, ...], max_height: int):
+    """iter_terms over the variables and 0, with /\\, -> and \\/."""
+    return iter_terms((*(IVar(v) for v in variables), IZERO), (IAnd, IImp, IOr), max_height)
 
 
 def enumerate_inql(variables: tuple[str, ...], max_height: int) -> tuple[InqFormula, ...]:

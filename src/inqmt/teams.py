@@ -9,10 +9,9 @@ through an up-closure sweep, not through any flatness shortcut.  Each
 context's algebra keeps the tables of the formulas still held anywhere
 (TeamAlgebra.tables), so a subformula met again is read, not computed,
 until it is dropped.  The two routes are cross-checked against each
-other by the test suite; validity and entailment run on tables.
-
-Routines that quantify over subteams of every team are capped at three
-variables; plain team enumeration is capped at four (by the context).
+other by the test suite; validity, entailment, flatness and the
+deduction-theorem and disjunction-property checks all run on tables, at
+any context size the context allows (four variables).
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import algebra
-from .contexts import MAX_VARS_SUBTEAM, Context, subteams
-from .errors import SizeCapError
+from .contexts import Context, subteams
 from .formulas import (
     IAnd,
     IImp,
@@ -31,14 +29,6 @@ from .formulas import (
     InqFormula,
     fold,
 )
-
-
-def _check_subteam_cap(ctx: Context, what: str):
-    if ctx.n_vars > MAX_VARS_SUBTEAM:
-        raise SizeCapError(
-            f"{what} walks subteams of every team; cap is {MAX_VARS_SUBTEAM} "
-            f"variables, got {ctx.n_vars}"
-        )
 
 
 def support(ctx: Context, team: int, phi: InqFormula) -> bool:
@@ -142,8 +132,7 @@ def is_flat_semantic(ctx: Context, phi: InqFormula) -> bool:
 
 def is_flat_table(ctx: Context, table: int) -> bool:
     """Whether a support table is pointwise: it holds exactly the teams
-    all of whose singletons it holds.  Capped like is_flat_semantic."""
-    _check_subteam_cap(ctx, "is_flat_semantic")
+    all of whose singletons it holds."""
     good = 0
     for w in ctx.worlds():
         if (table >> (1 << w)) & 1:
@@ -155,7 +144,6 @@ def check_deduction_theorem(
     ctx: Context, premises: Sequence[InqFormula], phi: InqFormula, psi: InqFormula
 ) -> bool:
     """Whether  premises, phi |= psi  iff  premises |= phi -> psi  holds."""
-    _check_subteam_cap(ctx, "check_deduction_theorem")
     left = entails(ctx, list(premises) + [phi], psi)
     right = entails(ctx, premises, IImp(phi, psi))
     return left == right
@@ -163,7 +151,6 @@ def check_deduction_theorem(
 
 def check_disjunction_property(ctx: Context, phi: InqFormula, psi: InqFormula) -> bool:
     """Whether validity of phi \\/ psi forces validity of a disjunct."""
-    _check_subteam_cap(ctx, "check_disjunction_property")
     if not valid(ctx, IOr(phi, psi)):
         return True
     return valid(ctx, phi) or valid(ctx, psi)

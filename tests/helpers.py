@@ -470,7 +470,7 @@ def ref_schema_counterexample(schema, ctx, cut_contexts):
     alg = for_context(ctx)
     downsets = alg.all_downsets()
     fails = Machine(alg).fails
-    teams = tuple(alg.all_teams())
+    teams = tuple(alg.ctx.teams())
     if schema.surgical:
         hole = mv.FMetaF("a")
         for text in cut_contexts:

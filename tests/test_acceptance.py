@@ -37,6 +37,7 @@ from inqmt.formulas import (
     Down,
     FImp,
     FVar,
+    FZERO,
     FZero,
     GAnd,
     GImp,
@@ -48,6 +49,7 @@ from inqmt.formulas import (
     enumerate_inql,
     inq_neg,
     is_classical,
+    iter_terms,
 )
 from inqmt.rules import rule_table
 from inqmt.structures import FlatFml, Sequent
@@ -192,7 +194,7 @@ def test_criterion_4_algebra_suite():
     start = time.time()
     ok = True
     downs = A2.all_downsets()
-    teams_ = list(A2.all_teams())
+    teams_ = list(A2.ctx.teams())
     assert len(teams_) == 16 and len(downs) == 168
     for x in downs:
         ok &= x & ~A2.downset(A2.f(x)) == 0
@@ -203,7 +205,7 @@ def test_criterion_4_algebra_suite():
         for y in downs:
             ok &= A2.f(x & y) == A2.f(x) & A2.f(y)
             ok &= A2.f(x | y) == A2.f(x) | A2.f(y)
-    ok &= A2.downset(0) == 1 and A2.downset(A2.full_team) == A2.top_a
+    ok &= A2.downset(0) == 1 and A2.downset(A2.full_team) == A2.full
     for s in teams_:
         for t in teams_:
             ok &= A2.downset(s & t) == A2.downset(s) & A2.downset(t)
@@ -334,13 +336,19 @@ def test_criterion_8_cut_reduction():
         ok &= after.conclusion == before.conclusion
         ok &= multiset_decreased(cut_sizes(before), cut_sizes(after))
 
-    # 100 seeded principal cuts, each reduced, re-checked and measured
-    ok &= selftest._reduction_suite(seed=43).ok
+    # every principal cut on Flat formulas of height <= 3 and General
+    # formulas of height <= 2 over their dn of height <= 2, each reduced,
+    # re-checked and measured
+    flat = tuple(iter_terms((p, q, FZERO), (Cap, FImp), 3))
+    general = iter_terms([Down(alpha) for alpha in flat[:21]], (GAnd, GOr, GImp), 2)
+    covers = "Flat height <= 3 over p, q, 0 and General height <= 2 over dn of Flat height <= 2"
+    cuts = selftest._reduction_suite((*flat, *general), covers)
+    ok &= cuts.ok and cuts.detail.startswith("2229 principal cuts on ")
     report(
         8,
         "cut reduction",
         bool(ok),
-        "8 introduction shapes + 100 randomized principal cuts, "
+        f"8 introduction shapes + {cuts.detail}, "
         "all re-check with preserved endsequents and smaller cut multisets",
     )
 

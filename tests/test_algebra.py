@@ -21,14 +21,14 @@ A2 = algebra.for_context(P2)
 
 def test_downset_examples():
     assert A2.downset(0) == 1
-    assert A2.downset(A2.full_team) == A2.top_a
+    assert A2.downset(A2.full_team) == A2.full
     w = 1 << 2
     assert A2.downset(w) == 1 | (1 << w)
 
 
 def test_f_examples():
     assert A2.f(1) == 0
-    for s in A2.all_teams():
+    for s in A2.ctx.teams():
         assert A2.f(A2.downset(s)) == s
 
 
@@ -41,14 +41,14 @@ def test_f_star_example():
 def test_heyting_examples():
     downs = A2.all_downsets()
     for y in downs:
-        assert A2.heyting(y, A2.top_a) == A2.top_a
-    for x in A2.all_teams():
-        for y in A2.all_teams():
+        assert A2.heyting(y, A2.full) == A2.full
+    for x in A2.ctx.teams():
+        for y in A2.ctx.teams():
             lhs = A2.downset(A2.complement_team(x) | y)
             assert lhs == A2.heyting(A2.downset(x), A2.downset(y))
     for z in downs:
         if z & 1:
-            assert A2.heyting(1, z) == A2.top_a
+            assert A2.heyting(1, z) == A2.full
 
 
 def test_coimp_examples_and_residuation():
@@ -67,7 +67,7 @@ def test_adjunctions_exhaustive():
     for alg in (A1, A2):
         downs = alg.all_downsets()
         for x in downs:
-            for s in alg.all_teams():
+            for s in alg.ctx.teams():
                 assert (alg.f(x) & ~s == 0) == (x & ~alg.downset(s) == 0)
                 if x & 1:
                     assert (alg.f_star(s) & ~x == 0) == (s & ~alg.f(x) == 0)
@@ -81,15 +81,15 @@ def test_unit_and_counit():
     for alg in (A1, A2):
         for x in alg.all_downsets():
             assert x & ~alg.downset(alg.f(x)) == 0
-        for s in alg.all_teams():
-            for t in alg.all_teams():
+        for s in alg.ctx.teams():
+            for t in alg.ctx.teams():
                 if s & ~t == 0:
                     assert alg.f_star(s) & ~alg.downset(t) == 0
 
 
 def test_preservation_facts():
     for alg in (A1, A2):
-        teams_ = list(alg.all_teams())
+        teams_ = list(alg.ctx.teams())
         for s in teams_:
             for t in teams_:
                 assert alg.downset(s & t) == alg.downset(s) & alg.downset(t)
@@ -110,7 +110,7 @@ def test_kp_inclusion():
         assert A1.heyting(dx, y | z) & ~(A1.heyting(dx, y) | A1.heyting(dx, z)) == 0
     assert checked == 216
     # the literal statement, first argument a team
-    for s in A1.all_teams():
+    for s in A1.ctx.teams():
         ds = A1.downset(s)
         for y, z in product(downs, repeat=2):
             assert A1.heyting(ds, y | z) & ~(A1.heyting(ds, y) | A1.heyting(ds, z)) == 0
@@ -170,7 +170,7 @@ def test_is_flat_algebraic():
     split = GOr(Down(FVar("p")), Down(flat_neg(FVar("p"))))
     assert not is_flat_algebraic(A1, split, assignment)
     top = Down(FImp(FVar("p"), FVar("p")))
-    assert A1.denote_general(top, assignment) == A1.top_a
+    assert A1.denote_general(top, assignment) == A1.full
     assert is_flat_algebraic(A1, top, assignment)
 
 
@@ -257,7 +257,7 @@ def test_bit_columns_match_the_per_index_sums():
 def test_downset_matches_its_definitions():
     for k in range(4):
         alg = algebra.for_context(CONTEXTS[k])
-        for s in alg.all_teams():
+        for s in alg.ctx.teams():
             assert alg.downset(s) == ref_downset_product(s) == ref_downset_subteams(s)
     alg = algebra.for_context(CONTEXTS[4])
     rng = random.Random(41)

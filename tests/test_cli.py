@@ -10,6 +10,8 @@ import time
 import inqmt
 from inqmt import corpus
 from inqmt.cli import main
+from inqmt.derivations import identity
+from inqmt.formulas import Cap, FImp, FVar
 from inqmt.parser import derivation_to_sexp
 
 from helpers import weakening_chain
@@ -144,7 +146,8 @@ FULL_SUITES = [
     ("corpus audit |V|=2", "7 scripts, 129 nodes, 112179 assignments, exhaustive, no violations"),
     ("population semantics", "2703 formulas, 30 distinct tables"),
     ("multi-type axioms", "1008 instantiations at |V|=2"),
-    ("cut reductions", "100 randomized principal cuts"),
+    ("cut reductions", "69 principal cuts on Flat height <= 2 over p, q, 0, dn of each, "
+                       "and /\\, \\/, => over dn(p), dn(q), dn(0)"),
 ]
 
 
@@ -294,6 +297,32 @@ def test_module_entry_point():
     argv = [sys.executable, "-m", "inqmt", "valid", "-V", "p", "~~p -> p"]
     done = subprocess.run(argv, capture_output=True, text=True, env=_child_env(), timeout=120)
     assert done.returncode == 0 and done.stdout.strip() == "true", done.stderr
+
+
+def test_a_closed_pipe_ends_quietly_with_the_verdict(tmp_path):
+    """The reader closes stdout after the first line of a 1.5 MB report:
+    the command writes no traceback and exits with its verdict, 0 for
+    the identity script of a 300-connective Flat formula and 1 for the
+    same script with its root rule renamed."""
+    alpha = FVar("p")
+    for i in range(300):
+        alpha = (Cap if i % 2 else FImp)(alpha, FVar("q"))
+    text = derivation_to_sexp(identity(alpha))
+    cases = [(text, 0), (text.replace('(rule "capL"', '(rule "capR"', 1), 1)]
+    for i, (script, verdict) in enumerate(cases):
+        path = tmp_path / f"big{i}.sexp"
+        path.write_text(script, encoding="utf-8")
+        for flags in (["--json"], []):
+            child = subprocess.Popen(
+                [sys.executable, "-m", "inqmt", "check", *flags, "--script", str(path)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+            )
+            child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read().decode("utf-8", "replace")
+            assert child.wait(timeout=120) == verdict, (flags, verdict, err)
+            assert "Traceback" not in err and "Exception" not in err, (flags, err)
+            child.stderr.close()
 
 
 # seeded argv fuzzing: pieces that mutated formulas, team specs and -V

@@ -4,10 +4,10 @@ Names stay the same whether a suite passes or fails."""
 
 import pytest
 
-from inqmt import selftest, translate
+from inqmt import cutelim, selftest, translate
 from inqmt.algebra import TeamAlgebra, for_context
 from inqmt.contexts import Context
-from inqmt.formulas import GAnd, IImp, IOr
+from inqmt.formulas import GFALSUM, GAnd, GOr, IImp, IOr
 
 P1 = Context.of("p")
 P2 = Context.of("p,q")
@@ -74,12 +74,25 @@ def f_star_off_on_one_team(monkeypatch):
     monkeypatch.setattr(TeamAlgebra, "f_star", planted)
 
 
+def keep_the_cut_on_or_falsum(monkeypatch):
+    """A principal cut on A \\/ dn(0) is left as it is."""
+    rewrite = cutelim._rewrite
+
+    def planted(node, formula):
+        if type(formula) is GOr and formula.right is GFALSUM:
+            return node, ""
+        return rewrite(node, formula)
+
+    monkeypatch.setattr(cutelim, "_rewrite", planted)
+
+
 PLANTED = [
     (drop_one_team, selftest._population_suite),
     (or_to_and, selftest._population_suite),
     (drop_the_negation, selftest._population_suite),
     (f_off_on_one_downset, lambda: selftest._downset_properties_suite(P2)),
     (f_star_off_on_one_team, lambda: selftest._downset_properties_suite(P2)),
+    (keep_the_cut_on_or_falsum, selftest._reduction_suite),
 ]
 
 

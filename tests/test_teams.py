@@ -113,14 +113,26 @@ def test_disjunction_property_spot():
 
 
 def test_size_caps():
+    """Contexts stop at four variables.  At four, flatness and the
+    deduction-theorem and disjunction-property checks answer from support
+    tables; flatness is checked against the pointwise definition, team
+    by team."""
     with pytest.raises(SizeCapError):
         Context.of("a,b,c,d,e")
     ctx4 = Context.of("a,b,c,d")
     assert teams.valid(ctx4, parse_inql("a -> a"))
-    with pytest.raises(SizeCapError):
-        teams.is_flat_semantic(ctx4, parse_inql("a"))
-    with pytest.raises(SizeCapError):
-        teams.check_deduction_theorem(ctx4, [], parse_inql("a"), parse_inql("a"))
+    answers = []
+    for text in ["?a", "(a -> (b -> c)) -> c", "~(a \\/ b) /\\ c", "a \\/ b", "(a \\/ b) -> d"]:
+        phi = parse_inql(text)
+        table = teams.support_table(ctx4, phi)
+        good = sum(1 << w for w in ctx4.worlds() if table >> (1 << w) & 1)
+        pointwise = all(bool(table >> s & 1) == (s & ~good == 0) for s in ctx4.teams())
+        assert teams.is_flat_semantic(ctx4, phi) == pointwise, text
+        answers.append(pointwise)
+    assert answers == [False, True, True, False, True]
+    a, b = parse_inql("a"), parse_inql("b")
+    assert teams.check_deduction_theorem(ctx4, [parse_inql("a \\/ b")], a, b)
+    assert teams.check_disjunction_property(ctx4, a, inq_neg(a))
 
 
 def test_table_agrees_with_definitional_recursion():

@@ -105,7 +105,7 @@ def test_multi_type_axioms_sampled():
 
     def top(t):
         """Whether t denotes the top of its sort."""
-        full = A2.full_team if isinstance(t, FlatFormula) else A2.top_a
+        full = A2.full_team if isinstance(t, FlatFormula) else A2.full
         return denote(A2, t, ANT, assignment) == full
 
     for _ in range(120):
