@@ -2,12 +2,14 @@
 
 The fast level runs the exhaustive one-variable algebra suites, the
 denotation-level rule-table soundness check, and a full corpus replay.
-The full level adds the two-variable exhaustive algebra suites, the
-corpus audit, the bounded formula-population suites (semantics,
-flatness, translation adequacy, disjunction property, multi-type
-axioms) and principal cut reductions on enumerated cut formulas.  Every
-result says what its suite covered, in a detail that is the same on
-every run, and how long the suite took.
+The full level adds the two-variable exhaustive algebra suites but coimp
+residuation (4.7 million triples), the corpus audit, the bounded
+formula-population suites (semantics, flatness, translation adequacy,
+disjunction property, multi-type axioms) and principal cut reductions on
+enumerated cut formulas.  Every result says what its suite covered, in a
+detail that is the same on every run, and how long the suite took.  The
+algebra suites are the rows of one law table (_laws), run by one loop
+(_check_laws); the tests run the whole table at one and two variables.
 
 The population suite checks every law on each of its 2,703 formulas
 but computes each distinct value once.  It reads the formulas from
@@ -19,9 +21,7 @@ parts': teams.table_step, translate._flatten_step and translate._image.
 The laws that read only a support table (the empty team, downward
 closure, flatness, the table of the double negation) run once per
 distinct table.  The tau_i images are compiled a chunk at a time into
-one denote program each.  The multi-type axiom suite compiles each draw
-into one program, and the down-set laws read downset, f and f* from
-tables.
+one denote program each, and each multi-type axiom draw into one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from itertools import islice
+from functools import partial
+from itertools import islice, product
 
 from . import algebra, corpus, teams, translate
 from .calculus import audit_soundness, check_derivation, check_rule_table_soundness
@@ -64,105 +65,94 @@ class SuiteResult:
     seconds: float = 0.0  # wall time of the suite
 
 
-def _adjunction_suite(ctx: Context) -> SuiteResult:
-    # f* -| f is quantified over collections containing the empty team:
-    # f* adds the empty team unconditionally, so the law has a corner at
-    # the empty collection, which no formula or succedent denotes anyway
+def _laws(ctx: Context) -> tuple:
+    """The laws of f* -| f -| downset, heyting and coimp at ctx, one row
+    each: (suite, name, domains, check).  A domain is a function, so the
+    down-sets and the tables over them are built only for a law that reads
+    them, and the laws over teams alone also run at three variables.
+    check takes a value of each domain but the last, then the last, and
+    yields its values at which the law fails.  f* -| f needs the empty
+    team in x, as f* always adds it.  KP is quantified over the principal
+    down-sets downset(s), which by the counit are all the downset(f(x))."""
     alg = algebra.for_context(ctx)
-    name = f"adjunction |V|={ctx.n_vars}"
-    downs = alg.all_downsets()
-    checked = 0
-    for x in downs:
-        for s in alg.ctx.teams():
-            checked += 1
-            if (alg.f(x) & ~s == 0) != (x & ~alg.downset(s) == 0):
-                return SuiteResult(name, False, f"f -| downset at {x},{s}")
-            if x & 1 and (alg.f_star(s) & ~x == 0) != (s & ~alg.f(x) == 0):
-                return SuiteResult(name, False, f"f* -| f at {s},{x}")
-    if alg.f_star(0) != 1:
-        return SuiteResult(name, False, "f* at the empty team")
-    return SuiteResult(name, True, f"{checked} pairs, both laws")
+    full, closed, heyting, coimp = alg.full, alg.is_downward_closed, alg.heyting, alg.coimp
+    down = {s: alg.downset(s) for s in ctx.teams()}
+    star = {s: alg.f_star(s) for s in ctx.teams()}
+    f, h = {}, {}  # f over the down-sets, heyting(downset(s), .) over them per team s
 
+    def downs():
+        if not f:
+            f.update((x, alg.f(x)) for x in alg.all_downsets())
+        return alg.all_downsets()
 
-def _downset_properties_suite(ctx: Context) -> SuiteResult:
-    """The laws of downset, f and f*, each value computed once: downset
-    and f* over the teams, f over the down-sets.  Teams are closed under
-    &, | and complement, and down-sets under & and |, so every value read
-    is in its table."""
-    alg = algebra.for_context(ctx)
-    name = f"downset properties |V|={ctx.n_vars}"
-    teams_ = alg.ctx.teams()
-    downs = alg.all_downsets()
-    down = {s: alg.downset(s) for s in teams_}
-    star = {s: alg.f_star(s) for s in teams_}
-    f = {x: alg.f(x) for x in downs}
-    if down[0] != 1 or down[alg.full_team] != alg.full:
-        return SuiteResult(name, False, "bottom/top images")
-    for s in teams_:
-        x = down[s]
-        if f[x] != s or x & ~alg.down_closure(x):
-            return SuiteResult(name, False, f"counit at {s}")
-        for t in teams_:
-            if down[s & t] != x & down[t]:
-                return SuiteResult(name, False, f"downset misses intersection at {s},{t}")
-            if down[alg.complement_team(s) | t] != alg.heyting(x, down[t]):
-                return SuiteResult(name, False, f"heyting image at {s},{t}")
-            if s & ~t == 0 and star[s] & ~down[t]:
-                return SuiteResult(name, False, f"f* bound at {s},{t}")
-    for x in downs:
+    def f_preservation(x, ys):
         fx = f[x]
-        if x & ~down[fx]:
-            return SuiteResult(name, False, f"unit at {x}")
-        for y in downs:
-            if f[x & y] != fx & f[y] or f[x | y] != fx | f[y]:
-                return SuiteResult(name, False, f"f preservation at {x},{y}")
-    for s in teams_:
-        for t in teams_:
-            if star[s | t] != star[s] | star[t]:
-                return SuiteResult(name, False, f"f* join preservation at {s},{t}")
-    return SuiteResult(name, True, f"{len(teams_)} teams, {len(downs)} down-sets")
+        return (y for y in ys if f[x & y] != fx & f[y] or f[x | y] != fx | f[y])
 
+    def kp(s, y, zs):
+        hs = h[s] if s in h else h.setdefault(s, {w: heyting(down[s], w) for w in zs})
+        hy = hs[y]
+        return (z for z in zs if hs[y | z] & ~(hy | hs[z]))
 
-def _kp_inclusion_suite(ctx: Context) -> SuiteResult:
-    """heyting(dx, y | z) <= heyting(dx, y) | heyting(dx, z) for every
-    principal dx = downset(f(x)) and down-sets x, y, z.  The law depends
-    on x only through dx, so it runs once per distinct dx, reading a
-    table of heyting(dx, .) over the down-sets; that still covers every
-    principal triple."""
-    alg = algebra.for_context(ctx)
-    name = f"KP inclusion |V|={ctx.n_vars}"
-    downs = alg.all_downsets()
-    principal: dict[int, int] = {}  # dx -> the first x giving it
-    for x in downs:
-        principal.setdefault(alg.downset(alg.f(x)), x)
-    for dx, x in principal.items():
-        h = {y: alg.heyting(dx, y) for y in downs}
-        for y in downs:
-            hy = h[y]
-            for z in downs:
-                if h[y | z] & ~(hy | h[z]):
-                    return SuiteResult(name, False, f"fails at {x},{y},{z}")
-    distinct = len(principal) * len(downs) ** 2
-    return SuiteResult(
-        name, True, f"{distinct} distinct triples covering {len(downs) ** 3} principal triples"
+    def residuation(x, y, zs):
+        c, d = coimp(x, y), x & ~y  # x <= y | z exactly when d <= z
+        return (z for z in zs if (d & ~z == 0) != (c & ~z == 0))
+
+    T, D = (ctx.teams,), (downs,)
+    adj, props, co = "adjunction", "downset properties", "coimp residuation"
+    return (
+        (adj, "f -| downset", D + T,
+         lambda x, ss: (s for s in ss if (f[x] & ~s == 0) != (x & ~down[s] == 0))),
+        (adj, "f* -| f", D + T,
+         lambda x, ss: (s for s in ss if x & 1 and (star[s] & ~x == 0) != (s & ~f[x] == 0))),
+        (props, "bottom/top images", T, lambda ss: (s for s in ss if (down[s] == 1) != (s == 0)
+         or (down[s] == full) != (s == alg.full_team) or s == 0 and star[s] != 1)),
+        (props, "counit", T, lambda ss: (s for s in ss if alg.f(down[s]) != s)),
+        (props, "downset and f* closed", T,
+         lambda ss: (s for s in ss if not closed(down[s]) or not closed(star[s]))),
+        (props, "downset of a meet", T + T,
+         lambda s, ts: (t for t in ts if down[s & t] != down[s] & down[t])),
+        (props, "heyting image", T + T, lambda s, ts: (
+            t for t in ts if down[alg.complement_team(s) | t] != heyting(down[s], down[t]))),
+        (props, "f* bound", T + T,
+         lambda s, ts: (t for t in ts if s & ~t == 0 and star[s] & ~down[t])),
+        (props, "f* join preservation", T + T,
+         lambda s, ts: (t for t in ts if star[s | t] != star[s] | star[t])),
+        (props, "unit", D, lambda xs: (x for x in xs if x & ~down[f[x]])),
+        (props, "f preservation", D + D, f_preservation),
+        ("KP inclusion", "KP inclusion", T + D + D, kp),
+        (co, "heyting and coimp units", D, lambda xs: (x for x in xs if heyting(x, full) != full
+         or x & 1 and heyting(1, x) != full or coimp(x, 0) != x or coimp(x, x))),
+        (co, "heyting, coimp, & and | closed", D + D, lambda x, ys: (y for y in ys if not (
+            closed(heyting(x, y)) and closed(coimp(x, y)) and closed(x & y) and closed(x | y)))),
+        (co, "coimp residuation", D + D + D, residuation),
     )
 
 
-def _coimp_residuation_suite(ctx: Context) -> SuiteResult:
-    alg = algebra.for_context(ctx)
-    name = f"coimp residuation |V|={ctx.n_vars}"
-    downs = alg.all_downsets()
-    checked = 0
-    for x in downs:
-        for y in downs:
-            c = alg.coimp(x, y)
-            if not alg.is_downward_closed(c):
-                return SuiteResult(name, False, f"not closed at {x},{y}")
-            for z in downs:
-                checked += 1
-                if (x & ~(y | z) == 0) != (c & ~z == 0):
-                    return SuiteResult(name, False, f"fails at {x},{y},{z}")
-    return SuiteResult(name, True, f"{checked} triples")
+def _check_laws(laws) -> tuple[str | None, dict[str, int]]:
+    """Runs each law over the product of its domains: the first failing tuple
+    ends the run as '<law> at <tuple>'; else each law's count of tuples checked."""
+    counts: dict[str, int] = {}
+    for _, law, domains, check in laws:
+        *outer, last = (domain() for domain in domains)
+        counts[law] = 0
+        for xs in product(*outer):
+            for bad in check(*xs, last):
+                return f"{law} at {','.join(map(str, (*xs, bad)))}", counts
+            counts[law] += len(last)
+    return None, counts
+
+
+def _law_suite(ctx: Context, suite: str) -> SuiteResult:
+    failure, n = _check_laws(law for law in _laws(ctx) if law[0] == suite)
+    d = len(algebra.for_context(ctx).all_downsets())
+    detail = failure or {
+        "adjunction": lambda: f"{n['f -| downset']} pairs, both laws",
+        "downset properties": lambda: f"{ctx.n_teams} teams, {d} down-sets",
+        "KP inclusion": lambda: f"{n[suite]} distinct triples covering {d ** 3} principal triples",
+        "coimp residuation": lambda: f"{n[suite]} triples",
+    }[suite]()
+    return SuiteResult(f"{suite} |V|={ctx.n_vars}", not failure, detail)
 
 
 def _rule_soundness_suite(ctx: Context) -> SuiteResult:
@@ -328,20 +318,24 @@ def _rand_gen(rng: random.Random, atoms: tuple, depth: int) -> GeneralFormula:
 
 
 def _axiom_suite(samples: int = 1000, seed: int = 0) -> SuiteResult:
-    """A1-A4 and modus ponens in both sorts on random draws, each draw
-    compiled into one program: its instances, then the terms of the two
-    modus-ponens checks."""
+    """A1-A4 and modus ponens in both sorts, each draw compiled into one
+    program: its instances, then the terms of the two modus-ponens checks.
+    The first three draws put p, q and 0, and their dn, in every place;
+    the rest are random, and none of those is an atom or its dn."""
     ctx = Context.of("p,q")
     alg = algebra.for_context(ctx)
     name = "multi-type axioms"
     rng = random.Random(seed)
     atoms = (FVar("p"), FVar("q"), FZERO)
+    fixed = [(atoms[i:] + atoms[:i], tuple(map(Down, atoms[i:] + atoms[:i]))) for i in range(3)]
     assignment = alg.canonical_assignment()
     machine = Machine(alg)
     count = 0
     while count < samples:
-        al, be, ga = (_rand_flat(rng, atoms, 2) for _ in range(3))
-        a, b, c = (_rand_gen(rng, atoms, 1) for _ in range(3))
+        (al, be, ga), (a, b, c) = fixed.pop(0) if fixed else (
+            [_rand_flat(rng, atoms, 2) for _ in range(3)],
+            [_rand_gen(rng, atoms, 1) for _ in range(3)],
+        )
         instances = [
             *translate.a1_instances(al, be, ga),
             *translate.a2_instances(a, b, c),
@@ -401,11 +395,9 @@ def _reduction_suite(formulas: tuple | None = None, covers: str = _CUTS) -> Suit
 
 def run(level: str = "fast") -> list[SuiteResult]:
     v1 = Context.of("p")
+    laws = ("adjunction", "downset properties", "KP inclusion")
     suites = [
-        lambda: _adjunction_suite(v1),
-        lambda: _downset_properties_suite(v1),
-        lambda: _kp_inclusion_suite(v1),
-        lambda: _coimp_residuation_suite(v1),
+        *(partial(_law_suite, v1, suite) for suite in (*laws, "coimp residuation")),
         lambda: _rule_soundness_suite(v1),
         _corpus_suite,
         lambda: _audit_suite(v1),
@@ -413,9 +405,7 @@ def run(level: str = "fast") -> list[SuiteResult]:
     if level == "full":
         v2 = Context.of("p,q")
         suites += [
-            lambda: _adjunction_suite(v2),
-            lambda: _downset_properties_suite(v2),
-            lambda: _kp_inclusion_suite(v2),
+            *(partial(_law_suite, v2, suite) for suite in laws),
             lambda: _audit_suite(v2),
             _population_suite,
             _axiom_suite,

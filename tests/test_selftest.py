@@ -7,7 +7,7 @@ import pytest
 from inqmt import cutelim, selftest, translate
 from inqmt.algebra import TeamAlgebra, for_context
 from inqmt.contexts import Context
-from inqmt.formulas import GFALSUM, GAnd, GOr, IImp, IOr
+from inqmt.formulas import FZERO, GFALSUM, Down, GAnd, GOr, IImp, IOr
 
 P1 = Context.of("p")
 P2 = Context.of("p,q")
@@ -74,6 +74,35 @@ def f_star_off_on_one_team(monkeypatch):
     monkeypatch.setattr(TeamAlgebra, "f_star", planted)
 
 
+def downset_off_on_one_team(monkeypatch):
+    """downset drops a two-world team from its own down-set."""
+    downset = TeamAlgebra.downset
+
+    def planted(self, team):
+        out = downset(self, team)
+        return out & ~(1 << team) if self is A2 and team == 0b0110 else out
+
+    monkeypatch.setattr(TeamAlgebra, "downset", planted)
+
+
+def heyting_off_on_one_principal_pair(monkeypatch):
+    """heyting(top, y) gains the team {0, 1} at y = {{}, {0}, {1}}, the
+    join of the down-sets of {0} and {1}, whose heyting(top, .) lack it."""
+    heyting = TeamAlgebra.heyting
+
+    def planted(self, y, z):
+        out = heyting(self, y, z)
+        return out | 1 << 0b0011 if self is A2 and (y, z) == (A2.full, 0b0111) else out
+
+    monkeypatch.setattr(TeamAlgebra, "heyting", planted)
+
+
+def a4_off_on_zero(monkeypatch):
+    """A4 at alpha = 0 is replaced by dn(0), which is not valid."""
+    a4 = translate.a4_instance
+    monkeypatch.setattr(translate, "a4_instance", lambda a: Down(a) if a is FZERO else a4(a))
+
+
 def keep_the_cut_on_or_falsum(monkeypatch):
     """A principal cut on A \\/ dn(0) is left as it is."""
     rewrite = cutelim._rewrite
@@ -90,8 +119,11 @@ PLANTED = [
     (drop_one_team, selftest._population_suite),
     (or_to_and, selftest._population_suite),
     (drop_the_negation, selftest._population_suite),
-    (f_off_on_one_downset, lambda: selftest._downset_properties_suite(P2)),
-    (f_star_off_on_one_team, lambda: selftest._downset_properties_suite(P2)),
+    (f_off_on_one_downset, lambda: selftest._law_suite(P2, "downset properties")),
+    (f_star_off_on_one_team, lambda: selftest._law_suite(P2, "downset properties")),
+    (downset_off_on_one_team, lambda: selftest._law_suite(P2, "adjunction")),
+    (heyting_off_on_one_principal_pair, lambda: selftest._law_suite(P2, "KP inclusion")),
+    (a4_off_on_zero, selftest._axiom_suite),
     (keep_the_cut_on_or_falsum, selftest._reduction_suite),
 ]
 
@@ -105,13 +137,13 @@ def test_a_planted_fault_fails_its_suite(monkeypatch, plant, suite):
 
 
 def test_a_failing_suite_keeps_its_name(monkeypatch):
-    passes = [selftest._coimp_residuation_suite(P1), selftest._rule_soundness_suite(P1)]
+    passes = [selftest._law_suite(P1, "coimp residuation"), selftest._rule_soundness_suite(P1)]
     assert all(r.ok for r in passes)
     coimp = TeamAlgebra.coimp
     # co-implications that are no longer down-sets: the empty team is dropped
     monkeypatch.setattr(TeamAlgebra, "coimp", lambda self, x, y: coimp(self, x, y) & ~1 | 2)
     monkeypatch.setattr(selftest, "check_rule_table_soundness", lambda ctx: ["planted"])
-    fails = [selftest._coimp_residuation_suite(P1), selftest._rule_soundness_suite(P1)]
+    fails = [selftest._law_suite(P1, "coimp residuation"), selftest._rule_soundness_suite(P1)]
     assert not any(r.ok for r in fails)
     assert [r.name for r in fails] == [r.name for r in passes]
     assert [r.name for r in passes] == ["coimp residuation |V|=1", "rule-table soundness |V|=1"]
