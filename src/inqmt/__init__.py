@@ -6,7 +6,6 @@ from .algebra import TeamAlgebra, for_context
 from .calculus import (
     AuditReport,
     CheckResult,
-    Polarity,
     audit_soundness,
     check_derivation,
     check_rule_table_soundness,
@@ -21,6 +20,7 @@ from .cutelim import (
     reduce_all,
     reduce_principal_cut,
 )
+from .denote import Polarity
 from .errors import (
     InqmtError,
     MixedSortError,

@@ -36,10 +36,11 @@ another) become one program with shared slots, and one staged search
 over the group's assignments (Machine.search) settles every node of the
 group, each with the count and the first violation, in product order,
 that a node-by-node loop would report.  Sampled nodes run their own
-program once per drawn assignment.  Schema soundness searches the
-pattern sequents of a schema the same way, with its metavariables as
-the inputs, both directions of a double-line schema at once; the
-surgical cut is searched per consumer context, as an instance whose
+program once per drawn assignment.  Schema soundness (search_schemas)
+searches pattern sequents the same way, with the metavariables as the
+inputs: the schemas whose metavariables range over equal domains are
+one program and one search, an instance per direction of each schema.
+The surgical cut is searched per consumer context, as an instance whose
 premises are the provider and the consumer with the cut formula in the
 hole, and whose conclusion is the consumer with the provider's
 antecedent there.
@@ -55,7 +56,7 @@ from typing import Optional
 from . import metavars as mv
 from .algebra import TeamAlgebra, for_context
 from .contexts import Context
-from .denote import _BINARY, _OTHER, ANT, SUC, Compiler, Machine, Polarity
+from .denote import _BINARY, _OTHER, ANT, SUC, Compiler, Machine
 from .formulas import FVar, FlatFormula, GeneralFormula, fold, subterms, variables
 from .rules import FAMILIES, RuleSchema, pseq, rule_table
 from .structures import (
@@ -384,13 +385,10 @@ def _meta_domains(pols: dict, alg: TeamAlgebra, downsets) -> list[tuple]:
     for meta in sorted(pols, key=lambda m: (type(m).__name__, m.name)):
         if isinstance(meta, (mv.SMetaF, mv.FMetaF, mv.PMeta)):
             domains.append((meta, teams))
-        elif isinstance(meta, mv.FMetaG):
+        elif isinstance(meta, mv.FMetaG) or SUC in pols[meta]:
             domains.append((meta, nonempty))
-        elif isinstance(meta, mv.SMetaG):
-            if Polarity.SUC in pols[meta]:
-                domains.append((meta, nonempty))
-            else:
-                domains.append((meta, downsets))
+        else:  # a General structure metavariable in antecedent parts only
+            domains.append((meta, downsets))
     return domains
 
 
@@ -408,34 +406,11 @@ _CUT_CONTEXTS = (
 )
 
 
-def schema_soundness_counterexample(schema: RuleSchema, ctx: Context):
-    """Exhaustively search metavariable denotations for a failing
-    instantiation; None when the schema is sound on the context.  A
-    double-line schema is searched in both directions at once, and the
-    forward direction's witness comes first."""
-    alg = for_context(ctx)
-    downsets = alg.all_downsets()
-    search = Machine(alg).search
-    if schema.surgical:
-        return _surgical_counterexample(alg, search, downsets)
-    compiler = _compile_sequents(alg.full_team, (*schema.premises, schema.conclusion))
-    k = len(schema.premises)
-    instances = [tuple(range(k + 1))]
-    if schema.bidirectional:
-        instances.append((k, 0))
-    domains = _meta_domains(compiler.polarities, alg, downsets)
-    metas = [m for m, _ in domains]
-    found = search(compiler.program(metas), [dom for _, dom in domains], instances)
-    for _, values in found:
-        if values is not None:
-            return {m.name: v for m, v in zip(metas, values)}
-    return None
-
-
-def _surgical_counterexample(alg: TeamAlgebra, search, downsets):
+def _surgical_search(alg: TeamAlgebra, search, downsets) -> tuple[int, dict | None]:
     """Per consumer context, the first gamma, alpha and context values,
     in that order, where the provider G |- a holds, the consumer holds
-    with a in the hole and fails with G there."""
+    with a in the hole and fails with G there; with the count of the
+    valuations searched until then."""
     alpha, gamma = mv.FMetaF("a"), mv.SMetaF("G")
     hole = FlatFml(alpha)
 
@@ -443,34 +418,68 @@ def _surgical_counterexample(alg: TeamAlgebra, search, downsets):
         return gamma if t is hole else type(t)(*map(done.get, t.parts)) if t.parts else t
 
     teams = tuple(alg.ctx.teams())
+    flat = (mv.SMetaF, mv.FMetaF, mv.PMeta)
+    total = 0
     for text in _CUT_CONTEXTS:
         consumer = pseq(text)
         compiler = Compiler(alg.full_team).add_sequent(pseq("G |- a")).add_sequent(consumer)
         compiler.add_sequent(fold(consumer, put))
         others = compiler.leaf_keys[2:]
-        domains = [
-            teams if isinstance(m, (mv.SMetaF, mv.FMetaF, mv.PMeta)) else downsets
-            for m in others
-        ]
+        domains = [teams, teams, *(teams if isinstance(m, flat) else downsets for m in others)]
         prog = compiler.program([gamma, alpha, *others])
-        [(_, values)] = search(prog, [teams, teams, *domains], [(0, 1, 2)])
+        [(checked, values)] = search(prog, domains, [(0, 1, 2)])
+        total += checked
         if values is not None:
-            gamma_val, alpha_val, *rest = values
-            return {
-                "context": text,
-                "gamma": gamma_val,
-                "alpha": alpha_val,
-                **{m.name: v for m, v in zip(others, rest)},
-            }
-    return None
+            names = ("gamma", "alpha", *(m.name for m in others))
+            return total, {"context": text, **dict(zip(names, values))}
+    return total, None
+
+
+def search_schemas(schemas, ctx: Context) -> list[tuple[int, dict | None]]:
+    """Per schema, the valuations searched and the first failing one, by
+    metavariable name, or None when the schema is sound on the context.
+    A schema's domains come from its own polarities (_meta_domains), and
+    the schemas with equal domains are searched together: their distinct
+    pattern sequents in one program, one Machine.search, an instance per
+    direction.  A double-line schema's forward witness comes first."""
+    alg = for_context(ctx)
+    downsets = alg.all_downsets()
+    search = Machine(alg).search
+    out: list = [None] * len(schemas)
+    groups: dict = {}  # domains -> (the first member's compiler, the members)
+    for i, s in enumerate(schemas):
+        if s.surgical:
+            out[i] = _surgical_search(alg, search, downsets)
+            continue
+        compiler = _compile_sequents(alg.full_team, dict.fromkeys((*s.premises, s.conclusion)))
+        domains = tuple(_meta_domains(compiler.polarities, alg, downsets))
+        groups.setdefault(domains, (compiler, []))[1].append(i)
+    for domains, (compiler, members) in groups.items():
+        roots: dict = {}  # the group's distinct sequents, in order
+        instances = []  # (schema index, sequent roots)
+        for i in members:
+            s = schemas[i]
+            fwd = tuple(roots.setdefault(seq, len(roots)) for seq in (*s.premises, s.conclusion))
+            instances += [(i, fwd), (i, (fwd[-1], fwd[0]))] if s.bidirectional else [(i, fwd)]
+        if len(members) > 1:  # a lone schema's own compiler holds the same roots
+            compiler = _compile_sequents(alg.full_team, roots)
+        metas = [m for m, _ in domains]
+        found = search(compiler.program(metas), [d for _, d in domains], [r for _, r in instances])
+        for (i, _), (checked, values) in zip(instances, found):
+            if out[i] is None or out[i][1] is None and values is not None:
+                named = None if values is None else {m.name: v for m, v in zip(metas, values)}
+                out[i] = checked, named
+    return out
+
+
+def schema_soundness_counterexample(schema: RuleSchema, ctx: Context):
+    """The first failing valuation of schema's metavariables, or None when
+    the schema is sound on the context: search_schemas of the one schema."""
+    return search_schemas((schema,), ctx)[0][1]
 
 
 def check_rule_table_soundness(ctx: Context, table=None):
-    """Counterexample search over every schema; returns (variant, witness)
-    pairs, empty when the whole table is sound on the context."""
-    failures = []
-    for schema in table or rule_table():
-        witness = schema_soundness_counterexample(schema, ctx)
-        if witness is not None:
-            failures.append((schema.variant, witness))
-    return failures
+    """(variant, witness) per schema of table (default: the rule table)
+    that fails on the context; empty when every one is sound."""
+    table = rule_table() if table is None else tuple(table)
+    return [(s.variant, w) for s, (_, w) in zip(table, search_schemas(table, ctx)) if w is not None]

@@ -5,11 +5,13 @@ denotation-level rule-table soundness check, and a full corpus replay.
 The full level adds the two-variable exhaustive algebra suites but coimp
 residuation (4.7 million triples), the corpus audit, the bounded
 formula-population suites (semantics, flatness, translation adequacy,
-disjunction property, multi-type axioms) and principal cut reductions on
-enumerated cut formulas.  Every result says what its suite covered, in a
-detail that is the same on every run, and how long the suite took.  The
-algebra suites are the rows of one law table (_laws), run by one loop
-(_check_laws); the tests run the whole table at one and two variables.
+disjunction property), the multi-type axioms and principal cut
+reductions on enumerated cut formulas; no suite draws at random.  Every
+result says what its suite covered, in a detail that is the same on
+every run, and how long the suite took.  The algebra suites are the rows
+of one law table (_laws), run by one loop (_check_laws); the tests run
+the whole table at one and two variables.  The axioms are schemas
+(_axioms), searched as the rule table is (calculus.search_schemas).
 
 The population suite checks every law on each of its 2,703 formulas
 but computes each distinct value once.  It reads the formulas from
@@ -21,19 +23,19 @@ parts': teams.table_step, translate._flatten_step and translate._image.
 The laws that read only a support table (the empty team, downward
 closure, flatness, the table of the double negation) run once per
 distinct table.  The tau_i images are compiled a chunk at a time into
-one denote program each, and each multi-type axiom draw into one.
+one denote program each.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice, product
 
 from . import algebra, corpus, teams, translate
-from .calculus import audit_soundness, check_derivation, check_rule_table_soundness
+from . import metavars as mv
+from .calculus import audit_soundness, check_derivation, check_rule_table_soundness, search_schemas
 from .contexts import Context
 from .cutelim import cut_sizes, multiset_decreased, reduce_all
 from .denote import ANT, Compiler, Machine, bind
@@ -46,7 +48,6 @@ from .formulas import (
     FZERO,
     FlatFormula,
     GAnd,
-    GeneralFormula,
     GImp,
     GOr,
     IOr,
@@ -55,6 +56,8 @@ from .formulas import (
     iter_inql,
     iter_terms,
 )
+from .rules import RuleSchema
+from .structures import PHI, DownOf, FlatFml, GenFml, Sequent
 
 
 @dataclass(frozen=True)
@@ -303,68 +306,55 @@ def _population_suite() -> SuiteResult:
     return SuiteResult(name, True, f"{count} formulas, {len(by_table)} distinct tables")
 
 
-def _rand_flat(rng: random.Random, atoms: tuple, depth: int) -> FlatFormula:
-    if depth == 0:
-        return rng.choice(atoms)
-    op = rng.choice((Cap, FImp))
-    return op(_rand_flat(rng, atoms, depth - 1), _rand_flat(rng, atoms, rng.randrange(depth)))
+def _axioms(A, B, C) -> tuple[RuleSchema, ...]:
+    """A1-A4 over the Flat letters a, b, c and the General letters given,
+    each as a schema with no premises that concludes Ph |- alpha or
+    Dn(Ph) |- A, and modus ponens in each sort.  A3 takes c for its Flat
+    letter, so its three letters stay apart when A, B are dn(a), dn(b)."""
+    a, b, c = map(mv.FMetaF, "abc")
+
+    def top(t):  # the sequent saying that t denotes the top of its sort
+        flat = isinstance(t, FlatFormula)
+        return Sequent(PHI if flat else DownOf(PHI), FlatFml(t) if flat else GenFml(t))
+
+    axioms = {
+        "A1": translate.a1_instances(a, b, c),
+        "A2": translate.a2_instances(A, B, C),
+        "A3": [translate.a3_instance(c, A, B)],
+        "A4": [translate.a4_instance(a)],
+    }
+    return (
+        *(RuleSchema(n, f"{n}.{k}", (), top(t)) for n, ts in axioms.items()
+          for k, t in enumerate(ts, 1)),
+        *(RuleSchema("MP", f"MP({sort})", (top(imp(x, y)), top(x)), top(y))
+          for sort, imp, x, y in (("Flat", FImp, a, b), ("Gen", GImp, A, B))),
+    )
 
 
-def _rand_gen(rng: random.Random, atoms: tuple, depth: int) -> GeneralFormula:
-    if depth == 0:
-        return Down(_rand_flat(rng, atoms, 1))
-    op = rng.choice((GAnd, GOr, GImp))
-    return op(_rand_gen(rng, atoms, depth - 1), _rand_gen(rng, atoms, rng.randrange(depth)))
-
-
-def _axiom_suite(samples: int = 1000, seed: int = 0) -> SuiteResult:
-    """A1-A4 and modus ponens in both sorts, each draw compiled into one
-    program: its instances, then the terms of the two modus-ponens checks.
-    The first three draws put p, q and 0, and their dn, in every place;
-    the rest are random, and none of those is an atom or its dn."""
-    ctx = Context.of("p,q")
-    alg = algebra.for_context(ctx)
+def _axiom_suite() -> SuiteResult:
+    """The schemas of _axioms over every valuation of their letters: at
+    |V|=1 with A, B, C General metavariables, over the down-sets that
+    hold the empty team (_meta_domains), and at |V|=2 with A, B, C =
+    dn(a), dn(b), dn(c), over the principal down-sets."""
     name = "multi-type axioms"
-    rng = random.Random(seed)
-    atoms = (FVar("p"), FVar("q"), FZERO)
-    fixed = [(atoms[i:] + atoms[:i], tuple(map(Down, atoms[i:] + atoms[:i]))) for i in range(3)]
-    assignment = alg.canonical_assignment()
-    machine = Machine(alg)
-    count = 0
-    while count < samples:
-        (al, be, ga), (a, b, c) = fixed.pop(0) if fixed else (
-            [_rand_flat(rng, atoms, 2) for _ in range(3)],
-            [_rand_gen(rng, atoms, 1) for _ in range(3)],
-        )
-        instances = [
-            *translate.a1_instances(al, be, ga),
-            *translate.a2_instances(a, b, c),
-            translate.a3_instance(al, a, b),
-            translate.a4_instance(al),
-        ]
-        terms = (*instances, FImp(al, be), al, be, GImp(a, b), a, b)
-        compiler = Compiler(alg.full_team)
-        for term in terms:
-            compiler.add_term(term, ANT)
-        prog = compiler.program()
-        s = machine.slots(prog, bind(prog, assignment))
-        # per term: whether it denotes the top of its sort
-        top = [
-            s[r] == (alg.full_team if isinstance(t, FlatFormula) else alg.full)
-            for t, r in zip(terms, prog.results)
-        ]
-        for inst, ok in zip(instances, top):
-            count += 1
-            if not ok:
-                return SuiteResult(name, False, f"instance fails: {inst}")
-        # modus ponens: the implication, its premise, its conclusion
-        imp, prem, concl = top[-6:-3]
-        if imp and prem and not concl:
-            return SuiteResult(name, False, "Flat MP fails")
-        imp, prem, concl = top[-3:]
-        if imp and prem and not concl:
-            return SuiteResult(name, False, "General MP fails")
-    return SuiteResult(name, True, f"{count} instantiations at |V|=2")
+    counts = []
+    for ctx, letters in (
+        (Context.of("p"), map(mv.FMetaG, "ABC")),
+        (Context.of("p,q"), (Down(mv.FMetaF(x)) for x in "abc")),
+    ):
+        table = _axioms(*letters)
+        found = search_schemas(table, ctx)
+        for schema, (_, witness) in zip(table, found):
+            if witness is not None:
+                return SuiteResult(name, False, f"{schema.variant} at |V|={ctx.n_vars}: {witness}")
+        counts.append(sum(n for n, _ in found))
+    return SuiteResult(
+        name,
+        True,
+        f"{len(table)} schemas (A1-A4, modus ponens in both sorts), every valuation: "
+        f"{counts[0]} at |V|=1 with A, B, C over the down-sets holding the empty team, "
+        f"{counts[1]} at |V|=2 with A, B, C = dn(a), dn(b), dn(c)",
+    )
 
 
 _CUTS = "Flat height <= 2 over p, q, 0, dn of each, and /\\, \\/, => over dn(p), dn(q), dn(0)"

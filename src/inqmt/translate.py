@@ -6,10 +6,10 @@ through ``tau_c`` under a single dn.  ``flatten`` is the classical
 rewrite of inquisitive disjunction, and ``collapse_to_flat`` inverts dn
 on the disjunction-free General fragment.
 
-The multi-type Hilbert axioms are provided as shape builders; the full
-selftest checks that their instances denote the top of their sort.
-There is no Hilbert proof object here, the calculus is the proof system
-of this package.
+The multi-type Hilbert axioms are provided as shape builders.  The full
+selftest calls them with metavariables and searches the schemas they
+make over every valuation (selftest._axioms).  There is no Hilbert proof
+object here, the calculus is the proof system of this package.
 """
 
 from __future__ import annotations

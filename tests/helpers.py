@@ -22,11 +22,10 @@ from inqmt.calculus import (
     AuditReport,
     AuditViolation,
     NodeRecord,
-    Polarity,
     _check_node,
     _meta_domains,
 )
-from inqmt.denote import _BINARY, _MAKE1, _MAKE2, _OTHER, _UNARY, Compiler, Machine
+from inqmt.denote import _BINARY, _MAKE1, _MAKE2, _OTHER, _UNARY, Compiler, Machine, Polarity
 from inqmt.errors import InqmtError, NotClassicalError, ParseError
 from inqmt.formulas import (
     Cap,
@@ -465,8 +464,9 @@ def meta_polarities(schema):
 
 
 def ref_schema_counterexample(schema, ctx, cut_contexts):
-    """schema_soundness_counterexample, searching each direction of the
-    schema, and each surgical consumer context, with its own product loop."""
+    """One schema's search as search_schemas must report it, grouped or
+    not: a product loop per direction of the schema, and per surgical
+    consumer context."""
     alg = for_context(ctx)
     downsets = alg.all_downsets()
     fails = Machine(alg).fails

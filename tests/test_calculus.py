@@ -6,21 +6,21 @@ import tracemalloc
 
 import pytest
 
-from inqmt import calculus, corpus, metavars as mv, rules
+from inqmt import calculus, corpus, metavars as mv, rules, selftest
 from inqmt.algebra import for_context
 from inqmt.calculus import (
     AuditNode,
-    Polarity,
     audit_soundness,
     check_derivation,
     check_rule_table_soundness,
     cut_formula,
     match_name,
     schema_soundness_counterexample,
+    search_schemas,
 )
 from inqmt.contexts import Context
 from inqmt.cutelim import reduce_all
-from inqmt.denote import denote
+from inqmt.denote import Polarity, denote
 from inqmt.derivations import (
     completeness_dne,
     completeness_kp,
@@ -387,8 +387,62 @@ def test_schema_witnesses_match_a_product_search(monkeypatch):
     assert witness == ref_schema_counterexample(cut, P1, contexts)
 
 
-def test_rule_table_sound_at_one_variable():
+def test_rule_table_sound_at_one_variable(monkeypatch):
     assert check_rule_table_soundness(P1) == []
+    # an empty table checks nothing, not the rule table in its place
+    monkeypatch.setattr(calculus, "rule_table", lambda: CORRUPTED)
+    assert check_rule_table_soundness(P1, ()) == []
+
+
+def _swapped(seq):
+    return Sequent(seq.succedent, seq.antecedent)
+
+
+def _converse_and_side_swap_mutants():
+    """Each schema of the rule table and of CORRUPTED with the two sides of
+    every sequent exchanged, and each one-premise schema, and its side
+    swap, made double-line: the converse is then searched as the reverse
+    direction."""
+    for s in (*rule_table(), *CORRUPTED):
+        if s.surgical:
+            continue
+        swap = dataclasses.replace(
+            s, variant=f"{s.variant} side-swap", premises=tuple(map(_swapped, s.premises)),
+            conclusion=_swapped(s.conclusion),
+        )
+        yield swap
+        if len(s.premises) == 1 and not s.bidirectional:
+            yield dataclasses.replace(s, variant=f"{s.variant} double-line", bidirectional=True)
+            yield dataclasses.replace(swap, variant=f"{swap.variant} double-line", bidirectional=True)
+
+
+def test_grouped_schema_search_equals_the_search_per_schema():
+    """The schemas with equal domains share one program and one search;
+    each must get the witness a search of its own finds, first in product
+    order, forward direction first."""
+    axioms = selftest._axioms(*map(mv.FMetaG, "ABC"))
+    for table in (rule_table(), axioms):
+        expected = [
+            (s.variant, w)
+            for s in table
+            if (w := ref_schema_counterexample(s, P1, calculus._CUT_CONTEXTS)) is not None
+        ]
+        assert check_rule_table_soundness(P1, table) == expected
+    well_sorted, ill_sorted = [], []
+    for s in _converse_and_side_swap_mutants():
+        try:
+            well_sorted.append((s, ref_schema_counterexample(s, P1, ())))
+        except InqmtError:
+            ill_sorted.append(s)
+    for s in ill_sorted:  # F* read in succedent position
+        with pytest.raises(InqmtError, match="Fs has no succedent-part reading"):
+            schema_soundness_counterexample(s, P1)
+    expected = [(s.variant, w) for s, w in well_sorted if w is not None]
+    assert (len(well_sorted), len(expected), len(ill_sorted)) == (143, 51, 3)
+    mutants = [s for s, _ in well_sorted]
+    assert check_rule_table_soundness(P1, mutants) == expected
+    # the counts too: grouped, each schema is searched over its own product
+    assert search_schemas(mutants, P1) == [search_schemas((s,), P1)[0] for s in mutants]
 
 
 CORRUPTED = [

@@ -145,7 +145,9 @@ FULL_SUITES = [
     ("KP inclusion |V|=2", "451584 distinct triples covering 4741632 principal triples"),
     ("corpus audit |V|=2", "7 scripts, 129 nodes, 112179 assignments, exhaustive, no violations"),
     ("population semantics", "2703 formulas, 30 distinct tables"),
-    ("multi-type axioms", "1008 instantiations at |V|=2"),
+    ("multi-type axioms", "16 schemas (A1-A4, modus ponens in both sorts), every valuation: "
+                          "646 at |V|=1 with A, B, C over the down-sets holding the empty team, "
+                          "18976 at |V|=2 with A, B, C = dn(a), dn(b), dn(c)"),
     ("cut reductions", "69 principal cuts on Flat height <= 2 over p, q, 0, dn of each, "
                        "and /\\, \\/, => over dn(p), dn(q), dn(0)"),
 ]

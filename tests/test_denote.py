@@ -12,9 +12,9 @@ import pytest
 
 from inqmt import corpus, denote as denote_module, metavars as mv, selftest
 from inqmt.algebra import for_context
-from inqmt.calculus import Polarity, audit_soundness, schema_soundness_counterexample
+from inqmt.calculus import audit_soundness, schema_soundness_counterexample
 from inqmt.contexts import Context
-from inqmt.denote import AND, DOWN, Compiler, Machine, denote
+from inqmt.denote import AND, DOWN, Compiler, Machine, Polarity, denote
 from inqmt.errors import InqmtError
 from inqmt.formulas import Cap, Down, FVar, GAnd, fold, subterms, variables
 from inqmt.parser import parse_sequent, parse_structure
@@ -174,10 +174,10 @@ def test_audit_and_schema_programs_equal_the_tree_walks(monkeypatch):
 def test_selftest_programs_equal_the_tree_walks(monkeypatch):
     checked = checked_compilers(monkeypatch)
     assert selftest._axiom_suite().ok
-    draws = len(checked)
-    assert draws == 72  # a program per draw
+    groups = len(checked)
+    assert groups == 10  # a program per group of axiom schemas with equal domains
     assert selftest._population_suite().ok
-    assert len(checked) > draws  # every chunk of tau_i images
+    assert len(checked) > groups  # every chunk of tau_i images
 
 
 def test_a_subterm_at_both_polarities_gets_a_node_per_polarity(monkeypatch):
@@ -199,10 +199,11 @@ def test_a_subterm_at_both_polarities_gets_a_node_per_polarity(monkeypatch):
 
 
 def test_compiling_costs_the_distinct_term_polarity_pairs(monkeypatch):
-    """On the axiom suite's draws, the walk expands each distinct (term,
-    polarity) pair once: formulas are read at their root's polarity, so
-    these are the distinct subterms, a ninth of the tree nodes."""
-    expanded, draws = [], []
+    """On the population suite's chunks of tau_i images, the walk expands
+    each distinct (term, polarity) pair once: formulas are read at their
+    root's polarity, so these are the distinct subterms of each chunk,
+    about a sixth of the tree nodes."""
+    expanded, chunks = [], []
 
     class Counted(dict):  # a term is stored in its memo once it is expanded
         def __setitem__(self, term, node):
@@ -213,22 +214,22 @@ def test_compiling_costs_the_distinct_term_polarity_pairs(monkeypatch):
         def __init__(self, top):
             super().__init__(top)
             self._ant_ids, self._suc_ids = Counted(), Counted()
-            draws.append([])
+            chunks.append([])
 
         def add_term(self, term, pol):
-            draws[-1].append(term)
+            chunks[-1].append(term)
             return super().add_term(term, pol)
 
     def tree_size(t, done):
         return 1 + sum(done[k] for k in t.parts)
 
     monkeypatch.setattr(selftest, "Compiler", Counting)
-    assert selftest._axiom_suite().ok
-    pairs = sum(sum(1 for _ in subterms(*roots)) for roots in draws)
+    assert selftest._population_suite().ok
+    pairs = sum(sum(1 for _ in subterms(*roots)) for roots in chunks)
     sizes: dict = {}
-    tree = sum(fold(t, tree_size, sizes) for roots in draws for t in roots)
-    assert len(expanded) == pairs == 4550
-    assert tree == 40506
+    tree = sum(fold(t, tree_size, sizes) for roots in chunks for t in roots)
+    assert len(expanded) == pairs == 4071
+    assert tree == 23964
 
 
 def test_a_dag_compiles_in_its_distinct_nodes():

@@ -7,11 +7,11 @@ import pytest
 from inqmt import cutelim, selftest, translate
 from inqmt.algebra import TeamAlgebra, for_context
 from inqmt.contexts import Context
-from inqmt.formulas import FZERO, GFALSUM, Down, GAnd, GOr, IImp, IOr
+from inqmt.formulas import GFALSUM, GAnd, GOr, IImp, IOr
 
 P1 = Context.of("p")
 P2 = Context.of("p,q")
-A2 = for_context(P2)
+A1, A2 = for_context(P1), for_context(P2)
 
 
 def drop_one_team(monkeypatch):
@@ -97,10 +97,28 @@ def heyting_off_on_one_principal_pair(monkeypatch):
     monkeypatch.setattr(TeamAlgebra, "heyting", planted)
 
 
-def a4_off_on_zero(monkeypatch):
-    """A4 at alpha = 0 is replaced by dn(0), which is not valid."""
-    a4 = translate.a4_instance
-    monkeypatch.setattr(translate, "a4_instance", lambda a: Down(a) if a is FZERO else a4(a))
+def heyting_off_on_a_non_principal_negation(monkeypatch):
+    """At |V|=1 the negation of {{}, {0}, {1}}, the one down-set that is
+    not principal, gains the team {0}."""
+    heyting = TeamAlgebra.heyting
+
+    def planted(self, y, z):
+        out = heyting(self, y, z)
+        return out ^ 0b0010 if self is A1 and (y, z) == (0b0111, 0b0001) else out
+
+    monkeypatch.setattr(TeamAlgebra, "heyting", planted)
+
+
+def heyting_off_on_dn_p_dn_q(monkeypatch):
+    """heyting(dn(p), dn(q)) at |V|=2 has its bit 1, the team {0}, flipped."""
+    heyting = TeamAlgebra.heyting
+    target = (A2.var_downset("p"), A2.var_downset("q"))
+
+    def planted(self, y, z):
+        out = heyting(self, y, z)
+        return out ^ 0b0010 if self is A2 and (y, z) == target else out
+
+    monkeypatch.setattr(TeamAlgebra, "heyting", planted)
 
 
 def keep_the_cut_on_or_falsum(monkeypatch):
@@ -123,7 +141,8 @@ PLANTED = [
     (f_star_off_on_one_team, lambda: selftest._law_suite(P2, "downset properties")),
     (downset_off_on_one_team, lambda: selftest._law_suite(P2, "adjunction")),
     (heyting_off_on_one_principal_pair, lambda: selftest._law_suite(P2, "KP inclusion")),
-    (a4_off_on_zero, selftest._axiom_suite),
+    (heyting_off_on_a_non_principal_negation, selftest._axiom_suite),
+    (heyting_off_on_dn_p_dn_q, selftest._axiom_suite),
     (keep_the_cut_on_or_falsum, selftest._reduction_suite),
 ]
 
