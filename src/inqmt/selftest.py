@@ -10,8 +10,11 @@ reductions on enumerated cut formulas; no suite draws at random.  Every
 result says what its suite covered, in a detail that is the same on
 every run, and how long the suite took.  The algebra suites are the rows
 of one law table (_laws), run by one loop (_check_laws); the tests run
-the whole table at one and two variables.  The axioms are schemas
-(_axioms), searched as the rule table is (calculus.search_schemas).
+the whole table at one and two variables.  KP inclusion packs its teams
+into the bit lanes of one value, so each pair of down-sets is checked
+for every team at once.  The axioms are schemas (_axioms), searched as
+the rule table is (calculus.search_schemas).  The corpus suites read
+each script once a run.
 
 The population suite checks every law on each of its 2,703 formulas
 but computes each distinct value once.  It reads the formulas from
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import islice, product
 
 from . import algebra, corpus, teams, translate
@@ -76,12 +79,17 @@ def _laws(ctx: Context) -> tuple:
     check takes a value of each domain but the last, then the last, and
     yields its values at which the law fails.  f* -| f needs the empty
     team in x, as f* always adds it.  KP is quantified over the principal
-    down-sets downset(s), which by the counit are all the downset(f(x))."""
+    down-sets downset(s), which by the counit are all the downset(f(x)).
+    Its teams s are the lanes of one _Lanes value: h[w] holds
+    heyting(downset(s), w) in lane s, n_teams bits a lane, so
+    h[y | z] & ~(h[y] | h[z]) checks a pair y, z for every s at once;
+    &, | and ~ never carry between lanes."""
     alg = algebra.for_context(ctx)
     full, closed, heyting, coimp = alg.full, alg.is_downward_closed, alg.heyting, alg.coimp
     down = {s: alg.downset(s) for s in ctx.teams()}
     star = {s: alg.f_star(s) for s in ctx.teams()}
-    f, h = {}, {}  # f over the down-sets, heyting(downset(s), .) over them per team s
+    width = ctx.n_teams
+    f, h = {}, {}  # f over the down-sets, heyting(downset(s), .) over them in lanes
 
     def downs():
         if not f:
@@ -92,16 +100,23 @@ def _laws(ctx: Context) -> tuple:
         fx = f[x]
         return (y for y in ys if f[x & y] != fx & f[y] or f[x | y] != fx | f[y])
 
-    def kp(s, y, zs):
-        hs = h[s] if s in h else h.setdefault(s, {w: heyting(down[s], w) for w in zs})
-        hy = hs[y]
-        return (z for z in zs if hs[y | z] & ~(hy | hs[z]))
+    def negation(x, ts):
+        nx = heyting(x, 1)
+        return (t for t in ts if (nx >> t & 1) != (down[t] & x & ~1 == 0))
+
+    def kp(lanes, y, zs):
+        if not h:
+            h.update((w, sum(heyting(down[s], w) << i * width for i, s in enumerate(lanes)))
+                     for w in zs)
+        hy = h[y]
+        return ((lanes[((bad & -bad).bit_length() - 1) // width], z)
+                for z in zs if (bad := h[y | z] & ~(hy | h[z])))
 
     def residuation(x, y, zs):
         c, d = coimp(x, y), x & ~y  # x <= y | z exactly when d <= z
         return (z for z in zs if (d & ~z == 0) != (c & ~z == 0))
 
-    T, D = (ctx.teams,), (downs,)
+    T, D, L = (ctx.teams,), (downs,), (lambda: (_Lanes(ctx.teams()),),)
     adj, props, co = "adjunction", "downset properties", "coimp residuation"
     return (
         (adj, "f -| downset", D + T,
@@ -117,13 +132,14 @@ def _laws(ctx: Context) -> tuple:
          lambda s, ts: (t for t in ts if down[s & t] != down[s] & down[t])),
         (props, "heyting image", T + T, lambda s, ts: (
             t for t in ts if down[alg.complement_team(s) | t] != heyting(down[s], down[t]))),
+        (props, "negation", D + T, negation),
         (props, "f* bound", T + T,
          lambda s, ts: (t for t in ts if s & ~t == 0 and star[s] & ~down[t])),
         (props, "f* join preservation", T + T,
          lambda s, ts: (t for t in ts if star[s | t] != star[s] | star[t])),
         (props, "unit", D, lambda xs: (x for x in xs if x & ~down[f[x]])),
         (props, "f preservation", D + D, f_preservation),
-        ("KP inclusion", "KP inclusion", T + D + D, kp),
+        ("KP inclusion", "KP inclusion", L + D + D, kp),
         (co, "heyting and coimp units", D, lambda xs: (x for x in xs if heyting(x, full) != full
          or x & 1 and heyting(1, x) != full or coimp(x, 0) != x or coimp(x, x))),
         (co, "heyting, coimp, & and | closed", D + D, lambda x, ys: (y for y in ys if not (
@@ -132,17 +148,26 @@ def _laws(ctx: Context) -> tuple:
     )
 
 
+class _Lanes(tuple):
+    """The values of a domain that a check reads all at once, as bit lanes."""
+
+
 def _check_laws(laws) -> tuple[str | None, dict[str, int]]:
     """Runs each law over the product of its domains: the first failing tuple
-    ends the run as '<law> at <tuple>'; else each law's count of tuples checked."""
+    ends the run as '<law> at <tuple>'; else each law's count of tuples checked.
+    A first value that is _Lanes stands for each of its lanes: the check
+    yields (lane, last value) at a failure, and each lane counts."""
     counts: dict[str, int] = {}
     for _, law, domains, check in laws:
         *outer, last = (domain() for domain in domains)
         counts[law] = 0
         for xs in product(*outer):
+            lanes = xs[0] if xs and type(xs[0]) is _Lanes else None
             for bad in check(*xs, last):
+                if lanes is not None:
+                    xs, bad = (bad[0], *xs[1:]), bad[1]
                 return f"{law} at {','.join(map(str, (*xs, bad)))}", counts
-            counts[law] += len(last)
+            counts[law] += len(last) * (1 if lanes is None else len(lanes))
     return None, counts
 
 
@@ -166,17 +191,19 @@ def _rule_soundness_suite(ctx: Context) -> SuiteResult:
     return SuiteResult(name, True, "all schemas, both directions")
 
 
-def _corpus_suite() -> SuiteResult:
+def _corpus_suite(load) -> SuiteResult:
+    """Checks every corpus script and replays the reduction pairs; load
+    reads a script by name."""
     name = "corpus replay"
     passed = 0
     for script in corpus.names():
-        if not check_derivation(corpus.load(script)).ok:
+        if not check_derivation(load(script)).ok:
             return SuiteResult(name, False, f"{script} fails to check")
         passed += 1
     for before_name, after_name in corpus.REDUCTION_PAIRS:
-        before = corpus.load(before_name)
+        before = load(before_name)
         after, report = reduce_all(before, fuel=1)
-        if after != corpus.load(after_name):
+        if after != load(after_name):
             return SuiteResult(name, False, f"{before_name} reduces differently")
         if not multiset_decreased(cut_sizes(before), cut_sizes(after)):
             return SuiteResult(name, False, f"{before_name} complexity not reduced")
@@ -184,12 +211,12 @@ def _corpus_suite() -> SuiteResult:
     return SuiteResult(name, True, f"{passed} scripts, {lemma} lemma/appendix")
 
 
-def _audit_suite(ctx: Context) -> SuiteResult:
+def _audit_suite(ctx: Context, load) -> SuiteResult:
     name = f"corpus audit |V|={ctx.n_vars}"
     scripts = corpus.LEMMA52 + corpus.APPENDIX
     nodes = assignments = sampled = 0
     for script in scripts:
-        report = audit_soundness(corpus.load(script), ctx)
+        report = audit_soundness(load(script), ctx)
         if report.violations:
             return SuiteResult(name, False, f"{script}: {report.violations[0]}")
         if report.unchecked_nodes:
@@ -386,17 +413,18 @@ def _reduction_suite(formulas: tuple | None = None, covers: str = _CUTS) -> Suit
 def run(level: str = "fast") -> list[SuiteResult]:
     v1 = Context.of("p")
     laws = ("adjunction", "downset properties", "KP inclusion")
+    load = cache(corpus.load)  # each script is read once a run, by the first suite reading it
     suites = [
         *(partial(_law_suite, v1, suite) for suite in (*laws, "coimp residuation")),
         lambda: _rule_soundness_suite(v1),
-        _corpus_suite,
-        lambda: _audit_suite(v1),
+        lambda: _corpus_suite(load),
+        lambda: _audit_suite(v1, load),
     ]
     if level == "full":
         v2 = Context.of("p,q")
         suites += [
             *(partial(_law_suite, v2, suite) for suite in laws),
-            lambda: _audit_suite(v2),
+            lambda: _audit_suite(v2, load),
             _population_suite,
             _axiom_suite,
             _reduction_suite,

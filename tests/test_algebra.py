@@ -59,6 +59,7 @@ LAW_COUNTS = {
         "downset and f* closed": 4,
         "downset of a meet": 16,
         "heyting image": 16,
+        "negation": 24,
         "f* bound": 16,
         "f* join preservation": 16,
         "unit": 6,
@@ -76,6 +77,7 @@ LAW_COUNTS = {
         "downset and f* closed": 16,
         "downset of a meet": 256,
         "heyting image": 256,
+        "negation": 2688,
         "f* bound": 256,
         "f* join preservation": 256,
         "unit": 168,

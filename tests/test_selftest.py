@@ -121,6 +121,19 @@ def heyting_off_on_dn_p_dn_q(monkeypatch):
     monkeypatch.setattr(TeamAlgebra, "heyting", planted)
 
 
+def heyting_off_on_a_non_principal_negation_at_two_variables(monkeypatch):
+    """At |V|=2 the negation of the non-principal down-set 14135 gains
+    the team {0, 2, 3}: only the negation law reads a non-principal
+    heyting there."""
+    heyting = TeamAlgebra.heyting
+
+    def planted(self, y, z):
+        out = heyting(self, y, z)
+        return out ^ 1 << 13 if self is A2 and (y, z) == (14135, 1) else out
+
+    monkeypatch.setattr(TeamAlgebra, "heyting", planted)
+
+
 def keep_the_cut_on_or_falsum(monkeypatch):
     """A principal cut on A \\/ dn(0) is left as it is."""
     rewrite = cutelim._rewrite
@@ -131,6 +144,12 @@ def keep_the_cut_on_or_falsum(monkeypatch):
         return rewrite(node, formula)
 
     monkeypatch.setattr(cutelim, "_rewrite", planted)
+
+
+def selftest_full() -> selftest.SuiteResult:
+    """Every suite of selftest.run("full") as one result."""
+    failed = [r for r in selftest.run("full") if not r.ok]
+    return selftest.SuiteResult("full", not failed, str(failed))
 
 
 PLANTED = [
@@ -144,6 +163,7 @@ PLANTED = [
     (heyting_off_on_a_non_principal_negation, selftest._axiom_suite),
     (heyting_off_on_dn_p_dn_q, selftest._axiom_suite),
     (keep_the_cut_on_or_falsum, selftest._reduction_suite),
+    (heyting_off_on_a_non_principal_negation_at_two_variables, selftest_full),
 ]
 
 
@@ -153,6 +173,38 @@ def test_a_planted_fault_fails_its_suite(monkeypatch, plant, suite):
     plant(monkeypatch)
     result = suite()
     assert not result.ok, result
+
+
+def lane_faults():
+    """One heyting fault per team s at |V|=2, each in the lane of s only.
+    For s > 0, heyting(downset(s), y | z) gains team s at a pair y, z whose
+    three values all lack it; lane s of KP's packed values then holds bit
+    s, and lane 15 the top bit of all.  heyting(downset(0), w) is the top
+    at every w but the empty down-set, so no gain can fail there: lane 0
+    loses the empty team at two down-sets whose join keeps it."""
+    d = A2.all_downsets()
+    for s in P2.teams():
+        x = A2.downset(s)
+        if s == 0:
+            yield s, {(x, A2.downset(0b0001)): 1, (x, A2.downset(0b0010)): 1}
+            continue
+        yield s, next(
+            {(x, y | z): 1 << s} for y in d for z in d if y | z not in (y, z)
+            and not (A2.heyting(x, y) | A2.heyting(x, z) | A2.heyting(x, y | z)) >> s & 1
+        )
+
+
+def test_a_fault_in_each_kp_lane_fails_at_its_team(monkeypatch):
+    """KP inclusion checks the 16 teams s in the bit lanes of one value;
+    a fault in one lane is reported at that s, not at a neighbour's."""
+    assert selftest._law_suite(P2, "KP inclusion").ok
+    heyting = TeamAlgebra.heyting
+    for s, flips in lane_faults():
+        with monkeypatch.context() as m:
+            m.setattr(TeamAlgebra, "heyting", lambda self, y, z: heyting(self, y, z) ^ (
+                flips.get((y, z), 0) if self is A2 else 0))
+            result = selftest._law_suite(P2, "KP inclusion")
+        assert not result.ok and result.detail.startswith(f"KP inclusion at {s},"), (s, result)
 
 
 def test_a_failing_suite_keeps_its_name(monkeypatch):
