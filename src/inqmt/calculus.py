@@ -153,10 +153,7 @@ def match_rule(schema: RuleSchema, conclusion: Sequent, premises: list[Sequent])
         return _match_surgical(schema, conclusion, premises)
     if len(premises) != len(schema.premises):
         return None
-    directions = [(schema.premises, schema.conclusion)]
-    if schema.bidirectional:
-        directions.append(((schema.conclusion,), schema.premises[0]))
-    for prem_pats, concl_pat in directions:
+    for prem_pats, concl_pat in schema.directions:
         bnd: dict = {}
         if _match_sequent(concl_pat, conclusion, bnd) and all(
             _match_sequent(pp, pv, bnd) for pp, pv in zip(prem_pats, premises)
@@ -459,8 +456,9 @@ def search_schemas(schemas, ctx: Context) -> list[tuple[int, dict | None]]:
         instances = []  # (schema index, sequent roots)
         for i in members:
             s = schemas[i]
-            fwd = tuple(roots.setdefault(seq, len(roots)) for seq in (*s.premises, s.conclusion))
-            instances += [(i, fwd), (i, (fwd[-1], fwd[0]))] if s.bidirectional else [(i, fwd)]
+            for premises, conclusion in s.directions:
+                seqs = (*premises, conclusion)
+                instances.append((i, tuple(roots.setdefault(seq, len(roots)) for seq in seqs)))
         if len(members) > 1:  # a lone schema's own compiler holds the same roots
             compiler = _compile_sequents(alg.full_team, roots)
         metas = [m for m, _ in domains]

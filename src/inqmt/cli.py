@@ -297,8 +297,9 @@ def main(argv=None) -> int:
         print(f"size cap exceeded: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # a safety net: the derivation-script reader still recurses once
-        # per node
+        # a safety net for any walk that recurses per level; a script
+        # nesting as deep as the recursion limit is a SizeCapError before
+        # its sides are read
         print(
             "size cap exceeded: input nests deeper than the recursion limit "
             f"({sys.getrecursionlimit()} frames) allows",

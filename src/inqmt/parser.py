@@ -26,11 +26,12 @@ Derivation scripts are s-expressions, one derivation per UTF-8 file:
 
 A script is read in two phases.  First its skeleton: one anchored
 pattern reads a node's whole header, or the ')' closing a node, in each
-match, and a reader recursing once per node lists every node's rule
-name, two side texts and number of premises in pre-order, without
-reading any side.  Only a script the pattern stops on is tokenized, to
-word the error: an unexpected character anywhere, else the first token
-where it stopped that is out of the shape of a header, a ')' or the end.
+match, and one loop over the matches lists every node's rule name, two
+side texts and number of premises in pre-order, without reading any
+side.  Only a script the pattern stops on, or nesting as deep as the
+recursion limit (a SizeCapError), is tokenized, to word the error: an
+unexpected character anywhere, else the first token where it stopped
+that is out of the shape of a header, a ')' or the end.
 The sides are then read in text order, conclusion before premises and
 antecedent before succedent, through one table per script from side
 text to (side, sort): a side is read once, and while it is read every
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import metavars as mv
-from .errors import MixedSortError, ParseError
+from .errors import MixedSortError, ParseError, SizeCapError
 from .formulas import (
     Cap,
     FImp,
@@ -618,27 +619,48 @@ _BLANK_RE = re.compile(r"\s*\Z")
 _HEADER = ("(", "rule", '"', "(", "seq", '"', '"', ")")
 
 
-# frames the script reader leaves unused below the recursion limit
-_HEADROOM = 50
-
-
-class _Refused(Exception):
-    """The skeleton pattern stops: args are where, and whether that is
-    after the root."""
-
-
 def _skeleton(text: str) -> list[tuple]:
-    """The skeleton of a script, or the error of its first fault: an
-    unexpected character anywhere, else the first token out of shape."""
-    try:
-        return _read_skeleton(text)
-    except _Refused as e:
-        at, trailing = e.args
-    except RecursionError:  # dropped here, with its frames, before the script is tokenized
-        at = None
+    """The skeleton of a script: (rule, antecedent text, succedent text,
+    number of premises) per node, in pre-order, which is text order.
+
+    One loop reads a match per node header and per ')', keeping a stack
+    of [node index, premises so far] for the open nodes.  A script whose
+    nodes nest sys.getrecursionlimit() or more levels deep, the root
+    being level 1, is refused with SizeCapError.  Where the pattern
+    stops, or at that depth, the script is tokenized to word the error
+    of its first fault: an unexpected character anywhere, else the first
+    token out of shape or the depth, whichever comes first."""
+    nodes: list = []
+    stack: list = []
+    cap = sys.getrecursionlimit()
+    end = 0
+    while (m := _SKELETON_RE.match(text, end)) is not None:
+        if m.lastindex != 4:  # a header
+            if len(stack) + 1 >= cap:
+                _tokenize(text, _SEXP_TOKEN_RE, " in script")
+                raise SizeCapError(f"a script's nodes nest as deep as the recursion limit ({cap})")
+            if stack:
+                stack[-1][1] += 1
+            stack.append([len(nodes), 0])
+            nodes.append(m)  # its texts are copied when it closes, not for a refused script
+        elif stack:
+            at, count = stack.pop()
+            nodes[at] = (*nodes[at].group(1, 2, 3), count)
+        else:  # a ')' where the root's header belongs
+            break
+        end = m.end()
+        if not stack:
+            if _BLANK_RE.match(text, end) is None:
+                _refuse(text, end, trailing=True)
+            return nodes
+    _refuse(text, end)
+
+
+def _refuse(text: str, at: int, trailing: bool = False):
+    """Raise the error of a script the skeleton pattern stops on at at: an
+    unexpected character anywhere, else trailing input after the root, else
+    the first token from at out of the shape of a header or a ')'."""
     tokens = _tokenize(text, _SEXP_TOKEN_RE, " in script")
-    if at is None:
-        raise RecursionError("a script nests deeper than the recursion limit allows")
     i = bisect_left(tokens, at, key=itemgetter(1))
     if trailing:
         raise ParseError("unexpected trailing input in script", tokens[i][1])
@@ -649,47 +671,6 @@ def _skeleton(text: str) -> list[tuple]:
             break
     want = "a quoted string" if want == '"' else repr(want)
     raise ParseError(f"expected {want}, found {tok!r}", pos)
-
-
-def _read_skeleton(text: str) -> list[tuple]:
-    """The skeleton of a script: (rule, antecedent text, succedent text,
-    number of premises) per node, in pre-order, which is text order.
-    Each node costs one match for its header and one for its ')'.  The
-    reader stops _HEADROOM frames short of the recursion limit, so that a
-    signal handler running at its deepest point still has frames to spend."""
-    nodes: list = []
-    m = _SKELETON_RE.match(text)
-    if m is None or m.lastindex == 4:
-        raise _Refused(0, False)
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    end = _read_node(text, m, nodes, sys.getrecursionlimit() - depth - _HEADROOM)
-    if _BLANK_RE.match(text, end) is None:
-        raise _Refused(end, True)
-    return nodes
-
-
-def _read_node(text: str, header: re.Match, nodes: list, room: int) -> int:
-    """Append the node whose header matched, then its premises, to nodes;
-    return where its ')' ends.  It recurses once per node, at most room
-    levels deep."""
-    if room <= 0:
-        raise RecursionError("the script reader has no frames left")
-    at = len(nodes)
-    nodes.append(None)
-    count = 0
-    end = header.end()
-    m = _SKELETON_RE.match(text, end)
-    while m is not None and m.lastindex != 4:
-        count += 1
-        end = _read_node(text, m, nodes, room - 1)
-        m = _SKELETON_RE.match(text, end)
-    if m is None:
-        raise _Refused(end, False)
-    nodes[at] = (*header.group(1, 2, 3), count)
-    return m.end()
 
 
 def derivation_to_sexp(d: Derivation) -> str:

@@ -44,6 +44,16 @@ class RuleSchema:
     def n_premises(self) -> int:
         return 2 if self.surgical else len(self.premises)
 
+    @property
+    def directions(self) -> tuple[tuple[tuple[Sequent, ...], Sequent], ...]:
+        """(premises, conclusion) per direction the schema matches in: its
+        own, then, for a double-line schema, its conclusion over its
+        first premise."""
+        forward = (self.premises, self.conclusion)
+        if self.bidirectional:
+            return forward, ((self.conclusion,), self.premises[0])
+        return (forward,)
+
 
 def pseq(text: str) -> Sequent:
     return parse_sequent(text, pattern_mode=True)
@@ -190,11 +200,9 @@ def _validate_table(table: tuple[RuleSchema, ...] = _TABLE):
     to the hole and holds the cut formula in the hole, so it meets C1 too.
     """
     for s in table:
-        directions = [(s.premises, s.conclusion, "")]
-        if s.bidirectional:
-            directions.append(((s.conclusion,), s.premises[0], "reverse direction: "))
         cut = (s.premises[0].succedent.formula,) if s.name == "Cut" else ()
-        for premises, conclusion, label in directions:
+        for reverse, (premises, conclusion) in enumerate(s.directions):
+            label = "reverse direction: " if reverse else ""
             covered = set(subterms(conclusion, *cut))
             for p in premises:
                 metas = [t for t in subterms(p) if is_meta(t)]

@@ -94,7 +94,10 @@ def support_table(ctx: Context, phi: InqFormula) -> int:
 
 
 def table_step(alg: algebra.TeamAlgebra):
-    """The node step of support_table: a node's table from its parts'."""
+    """The node step of support_table: a node's table from its parts'.
+    It stays a fold beside the denote machine: a compiled program run
+    once costs about four folds, the algebra's weak memo already serves
+    tables met again, and selftest's population suite steps per node."""
     binary = {IAnd: int.__and__, IOr: int.__or__, IImp: alg.heyting}
 
     def table(f: InqFormula, done: dict) -> int:

@@ -209,7 +209,7 @@ def test_deep_nesting_is_a_size_cap_not_a_traceback(tmp_path, capsys):
     assert code == 1 and out.strip() == "false" and err == ""
     code, out, err = run(capsys, "valid", "-V", "p", "p -> (" * 10_000 + "p" + ")" * 10_000)
     assert code == 0 and out.strip() == "true" and err == ""
-    # the derivation-script reader still recurses once per node
+    # a script whose nodes nest as deep as the recursion limit is a size cap
     script = tmp_path / "chain.sexp"
     script.write_text(derivation_to_sexp(weakening_chain(1000)), encoding="utf-8")
     code, out, err = run(capsys, "check", "--script", str(script))

@@ -1,14 +1,16 @@
 import random
 import re
 import signal
+import sys
 
 import pytest
 
 from inqmt import corpus
 from inqmt import metavars as mv
 from inqmt import parser
+from inqmt.calculus import check_derivation
 from inqmt.derivations import corpus_derivations, identity, principal_cut_example
-from inqmt.errors import MixedSortError, ParseError
+from inqmt.errors import MixedSortError, ParseError, SizeCapError
 from inqmt.formulas import (
     Cap,
     Down,
@@ -635,18 +637,17 @@ def test_the_skeleton_pattern_accepts_what_the_token_walk_accepts(monkeypatch):
 
 def test_a_script_too_deep_for_the_pattern_is_walked_token_by_token():
     text = derivation_to_sexp(weakening_chain(1000))
-    with pytest.raises(RecursionError):
+    with pytest.raises(SizeCapError):
         parse_derivation(text)
-    # past the recursion limit an unexpected character still wins
+    # at the cap depth an unexpected character still wins
     with pytest.raises(ParseError) as e:
         parse_derivation(text + "@")
     assert (e.value.message, e.value.pos) == ("unexpected character '@' in script", len(text))
 
 
 def test_a_signal_at_the_readers_deepest_point_has_frames_to_spend():
-    """The reader stops short of the recursion limit, so a timer's handler
-    that lands while it refuses the 1,000-node chain can still call; at the
-    limit itself, the handler's first call would raise RecursionError."""
+    """The reader spends no frame per node, so a timer's handler that
+    lands while it refuses the 1,000-node chain can still call."""
     text = derivation_to_sexp(weakening_chain(1000))
     stuck = []
 
@@ -663,9 +664,60 @@ def test_a_signal_at_the_readers_deepest_point_has_frames_to_spend():
     try:
         signal.setitimer(signal.ITIMER_REAL, 50e-6, 50e-6)
         for _ in range(20):
-            with pytest.raises(RecursionError):
+            with pytest.raises(SizeCapError):
                 parse_derivation(text)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
     assert not stuck
+
+
+def _under_frames(frames, call):
+    """call() run with frames more interpreter frames below it."""
+    return _under_frames(frames - 1, call) if frames else call()
+
+
+def test_scripts_nest_one_level_short_of_the_recursion_limit_from_any_stack():
+    """The root is level 1; a script whose nodes nest as deep as the
+    recursion limit is a size cap, however deep the caller's stack."""
+    assert sys.getrecursionlimit() == 1000
+    text = derivation_to_sexp(weakening_chain(999))
+    for frames in (0, 900):
+        d = _under_frames(frames, lambda: parse_derivation(text))
+        assert derivation_to_sexp(d) == text
+    deeper = derivation_to_sexp(weakening_chain(1000))
+    for frames in (0, 900):
+        with pytest.raises(SizeCapError):
+            _under_frames(frames, lambda: parse_derivation(deeper))
+
+
+def test_a_higher_recursion_limit_reads_deeper_scripts():
+    text = derivation_to_sexp(weakening_chain(3000))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    try:
+        d = parse_derivation(text)
+    finally:
+        sys.setrecursionlimit(old)
+    assert derivation_to_sexp(d) == text
+    result = check_derivation(d)
+    assert result.ok and len(result.records) == 3000
+
+
+def test_the_first_fault_in_the_text_wins_over_the_depth_cap():
+    text = derivation_to_sexp(weakening_chain(1000))
+    lines = text.split("\n")
+    # a shape fault in the header of the deepest node read (level 999)
+    faulty = "\n".join(lines[:998] + [lines[998].replace("(seq", "(seqq")] + lines[999:])
+    with pytest.raises(ParseError) as e:
+        parse_derivation(faulty)
+    assert (e.value.message, e.value.pos) == ("expected 'seq', found 'seqq'", faulty.index("seqq"))
+    # a ')' missing after the level-1,000 header comes after the cap
+    with pytest.raises(SizeCapError):
+        parse_derivation(text[:-2] + "\n")
+    # an unexpected character anywhere wins, after the cap depth too
+    for script in (text, faulty):
+        at = len(script) - 10
+        with pytest.raises(ParseError) as e:
+            parse_derivation(script[:at] + "%" + script[at:])
+        assert (e.value.message, e.value.pos) == ("unexpected character '%' in script", at)
